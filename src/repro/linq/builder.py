@@ -45,14 +45,9 @@ from repro.linq.ast import Column, Expr, as_expr, call
 from repro.linq.compile import emit
 from repro.linq.errors import LinqError, LinqTypeError
 from repro.linq.params import ParamSpec
-from repro.tsql import compiled
-from repro.tsql.preprocessor import _split_top_level_commas
+from repro.tsql import compiled, ir
 
 __all__ = ["Linq", "Schema", "Table", "Query", "LinqPrepared"]
-
-_CONSTRAINT_STARTERS = frozenset(
-    {"PRIMARY", "FOREIGN", "UNIQUE", "CHECK", "CONSTRAINT"}
-)
 
 
 @dataclass(frozen=True)
@@ -62,25 +57,6 @@ class TableInfo:
     name: str
     columns: Tuple[Tuple[str, str], ...]  # (name, type name) in DDL order
     valid_column: Optional[str]  # first ELEMENT column, if any
-
-
-def _parse_columns(ddl: str) -> Tuple[Tuple[str, str], ...]:
-    """``(column, type name)`` pairs from one CREATE TABLE statement."""
-    open_at = ddl.find("(")
-    close_at = ddl.rfind(")")
-    if open_at < 0 or close_at <= open_at:
-        return ()
-    columns: List[Tuple[str, str]] = []
-    for part in _split_top_level_commas(ddl[open_at + 1 : close_at]):
-        tokens = part.split()
-        if not tokens:
-            continue
-        name = tokens[0].strip('"`[]')
-        if name.upper() in _CONSTRAINT_STARTERS:
-            continue
-        decltype = tokens[1] if len(tokens) > 1 else None
-        columns.append((name, _t.decltype_name(decltype)))
-    return tuple(columns)
 
 
 class Schema:
@@ -98,7 +74,8 @@ class Schema:
             "WHERE type = 'table' AND sql IS NOT NULL"
         )
         for name, ddl in rows:
-            columns = _parse_columns(ddl or "")
+            columns = tuple((column, _t.decltype_name(decltype))
+                            for column, decltype, _ in ir.columns(ddl or ""))
             valid = next(
                 (col for col, kind in columns if kind == _t.ELEMENT), None
             )

@@ -43,16 +43,88 @@ except ImportError:  # pragma: no cover - baked into the toolchain image
 from repro.core import interval_algebra as ia
 from repro.core.element import Element
 from repro.errors import TipTypeError
-from repro.plan.shapes import CoalesceShape, Condition, JoinShape
 from repro.index.interval_tree import IntervalTree
 
-__all__ = ["KernelResult", "execute_join", "execute_coalesce", "sql_compare"]
+__all__ = [
+    "Operand", "Condition", "OutputColumn", "JoinShape", "CoalesceShape",
+    "KernelResult", "execute_join", "execute_coalesce", "sql_compare",
+]
 
 Pair = Tuple[int, int]
 
 #: When one side has this many times more periods than the other, probe
 #: an interval tree built over the small side instead of sweeping both.
 TREE_SKEW = 8
+
+
+# -- the plans the kernels evaluate (matched by repro.plan.shapes) ------
+
+
+@dataclass(frozen=True)
+class Operand:
+    """One side of a comparison: a column reference or a literal."""
+
+    kind: str                 # "col" | "lit"
+    alias: str = ""           # "" for a bare (unqualified) column
+    column: str = ""
+    value: object = None
+
+
+@dataclass(frozen=True)
+class Condition:
+    """``left <op> right`` with at least one column operand."""
+
+    left: Operand
+    op: str
+    right: Operand
+
+
+@dataclass(frozen=True)
+class OutputColumn:
+    """A plain column in the select list, with its result-column name."""
+
+    name: str     # what sqlite3 would call the result column
+    alias: str    # source table alias ("" when written bare)
+    column: str   # source column name
+
+
+@dataclass(frozen=True)
+class JoinShape:
+    """A sequenced two-table overlap join the kernels can evaluate."""
+
+    left_table: str
+    left_alias: str
+    right_table: str
+    right_alias: str
+    outputs: Tuple[OutputColumn, ...]     # select list minus the validity slot
+    valid_at: int                         # where the validity column goes
+    valid_name: str
+    left_valid: str                       # validity column on the left table
+    right_valid: str
+    window: Optional[str] = None          # VALIDTIME PERIOD text, sans brackets
+    equalities: Tuple[Tuple[str, str], ...] = ()   # (left col, right col)
+    cross: Tuple[Condition, ...] = ()     # non-equality cross-side residuals
+    left_filters: Tuple[Condition, ...] = ()
+    right_filters: Tuple[Condition, ...] = ()
+
+    kind: str = field(default="join", init=False)
+
+
+@dataclass(frozen=True)
+class CoalesceShape:
+    """A ``group_union`` coalescing aggregation over one table."""
+
+    table: str
+    alias: str
+    outputs: Tuple[OutputColumn, ...]     # select list minus the aggregate
+    agg_at: int                           # where the aggregate column goes
+    agg_name: str
+    agg_wrapper: str                      # "" | "length" | "length_seconds"
+    agg_column: str
+    group_by: Tuple[str, ...]             # column names, select-independent
+    filters: Tuple[Condition, ...] = ()
+
+    kind: str = field(default="coalesce", init=False)
 
 
 @dataclass

@@ -6,16 +6,18 @@ TEMPORAL`` and the ``plan.*`` counters — whether to evaluate it with a
 set-based kernel (:mod:`repro.plan.kernels`) or to leave it on the
 naive UDF path.  The naive path is always correct, so every decision
 here is allowed to say "no": unmatched shapes, TIP-typed comparison
-columns, inputs below the row threshold, an active profiler, or an
-armed fault plan that does not target ``plan.kernel`` all fall back.
+columns, comparisons SQLite would run under a type conversion or a
+non-BINARY collation, inputs below the row threshold, an active
+profiler, or an armed fault plan that does not target ``plan.kernel``
+all fall back.
 
 Shape matching happens once per compiled statement: the statement
 cache stamps the matched shape onto
 :attr:`repro.tsql.compiled.CompiledStatement.shape`, and because that
 cache is generation-keyed, any DDL or registry change that invalidates
-prepared statements invalidates kernel plans with it.  Callers without
-a compiled statement go through a small shape LRU keyed on the same
-generation.  Schema lookups (``PRAGMA table_info``) are cached per
+prepared statements invalidates kernel plans with it; callers without
+a compiled statement match per call.  Schema lookups (``PRAGMA
+table_info`` and the table's ``CREATE TABLE`` text) are cached per
 connection under the same generation key.
 
 Knobs: ``TIP_KERNEL=0`` disables the planner process-wide,
@@ -29,9 +31,8 @@ from __future__ import annotations
 import gc
 import os
 import weakref
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-from repro.codec.cache import LRUCache
 from repro.core.nowctx import bind_now_seconds, reset_now
 from repro.errors import TipError
 from repro.faults import state as _FAULTS
@@ -41,8 +42,8 @@ from repro.obs.registry import get_registry as _obs_registry
 from repro.obs.registry import state as _obs_state
 from repro.plan import kernels, shapes
 from repro.plan.kernels import KernelResult
-from repro.plan.shapes import CoalesceShape, JoinShape
-from repro.tsql import compiled
+from repro.plan.shapes import Operand, is_candidate
+from repro.tsql import compiled, ir
 
 __all__ = [
     "state", "configure", "is_candidate", "maybe_execute_kernel",
@@ -85,12 +86,14 @@ class PlanState:
 
 state = PlanState()
 
-#: (generation, translated sql) -> (shape | None,); keyed on the
-#: statement-cache generation so DDL invalidates kernel plans exactly
-#: when it invalidates prepared statements.
-SHAPE_CACHE = LRUCache("plan.shape", 256)
+#: What ``EXPLAIN TEMPORAL`` says for each schema veto.
+_VETO_REASONS = {
+    "schema": "column types outside kernel support",
+    "affinity": "compared column types differ in affinity",
+    "collation": "non-BINARY collation on a compared column",
+}
 
-#: connection -> (generation, {table: {column: decltype-or-""}}).
+#: connection -> (generation, {table: {column: (decltype, collation)}}).
 _SCHEMA_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -102,28 +105,13 @@ def configure(
     """Adjust the planner knobs at runtime (used by benches and tests)."""
     if enabled is not None:
         state.enabled = enabled
-        if not enabled:
-            SHAPE_CACHE.clear()
     if min_rows is not None:
         state.min_rows = max(0, min_rows)
 
 
 def clear_caches() -> None:
-    """Drop cached shapes and schemas (tests; ``faults.arm`` bypasses
-    the caches instead of clearing them, see :func:`_lookup_shape`)."""
-    SHAPE_CACHE.clear()
+    """Drop the cached table schemas (tests and benchmark set-ups)."""
     _SCHEMA_CACHE.clear()
-
-
-def is_candidate(sql: str) -> bool:
-    """Cheap pre-filter: does *sql* contain a kernel-evaluable operator?
-
-    One lowercase scan; the hot prepared path pays only this check, so
-    a SNAPSHOT query (``contains_instant``) or plain SQL skips the
-    matcher entirely.
-    """
-    lowered = sql.lower()
-    return "tintersect(" in lowered or "group_union(" in lowered
 
 
 # -- decision pipeline --------------------------------------------------
@@ -140,25 +128,21 @@ def _fallback(reason: str) -> None:
         _flight.record("plan.fallback", reason=reason)
 
 
-def _lookup_shape(sql: str) -> Optional[Union[JoinShape, CoalesceShape]]:
-    """Match *sql*, via the generation-keyed cache when no plan is armed."""
-    if _FAULTS.plan is not None:
-        # Armed chaos runs bypass the cache (mirroring the statement
-        # cache) so every run exercises the same code path.
-        return shapes.match(sql)
-    key = (compiled.generation(), sql)
-    cached = SHAPE_CACHE.get(key)
-    if cached is not None:
-        _count("plan.cache.hit")
-        return cached[0]
-    _count("plan.cache.miss")
-    shape = shapes.match(sql)
-    SHAPE_CACHE.put(key, (shape,))
-    return shape
+#: SQLite's affinity rules (datatype3, 3.1): the first fragment found in
+#: the declared type decides; no type at all is BLOB, no match NUMERIC.
+_AFFINITY_RULES = (("INT", "INTEGER"), ("CHAR", "TEXT"), ("CLOB", "TEXT"),
+                   ("TEXT", "TEXT"), ("BLOB", "BLOB"), ("REAL", "REAL"),
+                   ("FLOA", "REAL"), ("DOUB", "REAL"))
 
 
-def _table_schema(connection, table: str) -> Optional[Dict[str, str]]:
-    """``{column: DECLTYPE}`` for *table* (generation-cached), or None."""
+def _affinity(decltype: str) -> str:
+    return next((affinity for fragment, affinity in _AFFINITY_RULES
+                 if fragment in decltype), "NUMERIC" if decltype else "BLOB")
+
+
+def _table_schema(connection, table: str) -> Optional[Dict[str, Tuple[str, str]]]:
+    """``{column: (DECLTYPE, collation)}`` for *table* (generation-cached),
+    or None; the collation is "" for BINARY, SQLite's default."""
     generation = compiled.generation()
     cached = _SCHEMA_CACHE.get(connection)
     if cached is None or cached[0] != generation:
@@ -168,65 +152,66 @@ def _table_schema(connection, table: str) -> Optional[Dict[str, str]]:
     if table not in tables:
         try:
             rows = connection.query(f"PRAGMA table_info({table})")
+            ddl = connection.query_one(
+                "SELECT sql FROM sqlite_master WHERE type = 'table' "
+                "AND name = ? COLLATE NOCASE", (table,))
         except Exception:
-            rows = []
+            rows, ddl = [], None
+        collations = {name.lower(): collation
+                      for name, _decltype, collation in ir.columns(ddl[0] if ddl else "")}
         tables[table] = {
-            str(row[1]): (str(row[2]) if row[2] is not None else "").upper()
+            str(row[1]): ((str(row[2]) if row[2] is not None else "").upper(),
+                          collations.get(str(row[1]).lower(), ""))
             for row in rows
         }
     schema = tables[table]
     return schema or None
 
 
-def _schema_ok(connection, shape) -> bool:
-    """Every referenced column exists and key/residual columns are
-    plain-typed (TIP-typed values would need blade comparison rules)."""
+def _schema_veto(connection, shape) -> Optional[str]:
+    """Why *shape* cannot run on a kernel over this schema, or None:
+    ``schema`` (a column is missing, or a key, residual or GROUP BY
+    column is TIP-typed), ``collation`` (such a column is not BINARY),
+    or ``affinity`` (compared columns differ in affinity, or a literal's
+    storage class differs from its column's: SQLite would convert one
+    side first, the kernels compare values as stored)."""
     if shape.kind == "join":
-        left = _table_schema(connection, shape.left_table)
-        right = _table_schema(connection, shape.right_table)
-        if left is None or right is None:
-            return False
-        if left.get(shape.left_valid) != "ELEMENT":
-            return False
-        if right.get(shape.right_valid) != "ELEMENT":
-            return False
-        for output in shape.outputs:
-            schema = left if output.alias == shape.left_alias else right
-            if output.column not in schema:
-                return False
-        for left_col, right_col in shape.equalities:
-            if left.get(left_col, "") in TIP_DECLTYPES or left_col not in left:
-                return False
-            if right.get(right_col, "") in TIP_DECLTYPES \
-                    or right_col not in right:
-                return False
-        conditions = (shape.cross + shape.left_filters
-                      + shape.right_filters)
-        for condition in conditions:
-            for operand in (condition.left, condition.right):
-                if operand.kind != "col":
-                    continue
-                schema = left if operand.alias == shape.left_alias else right
-                if operand.column not in schema \
-                        or schema[operand.column] in TIP_DECLTYPES:
-                    return False
-        return True
-    schema = _table_schema(connection, shape.table)
-    if schema is None:
-        return False
-    if schema.get(shape.agg_column) != "ELEMENT":
-        return False
-    for column in shape.group_by:
-        if column not in schema or schema[column] in TIP_DECLTYPES:
-            return False
-    for condition in shape.filters:
-        for operand in (condition.left, condition.right):
-            if operand.kind == "col" and (
-                operand.column not in schema
-                or schema[operand.column] in TIP_DECLTYPES
-            ):
-                return False
-    return True
+        schemas = {shape.left_alias: _table_schema(connection, shape.left_table),
+                   shape.right_alias: _table_schema(connection, shape.right_table)}
+        validity = [(shape.left_alias, shape.left_valid),
+                    (shape.right_alias, shape.right_valid)]
+        pairs = [(Operand("col", shape.left_alias, left),
+                  Operand("col", shape.right_alias, right))
+                 for left, right in shape.equalities]
+        conditions, grouped = shape.cross + shape.left_filters + shape.right_filters, []
+        outputs = shape.outputs
+    else:
+        schema = _table_schema(connection, shape.table)
+        schemas = {shape.alias: schema, "": schema}
+        validity = [(shape.alias, shape.agg_column)]
+        pairs, conditions = [], shape.filters
+        grouped = [Operand("col", "", column) for column in shape.group_by]
+        outputs = ()  # a subset of the GROUP BY columns
+    if None in schemas.values() \
+            or any(schemas[alias].get(column, ("",))[0] != "ELEMENT"
+                   for alias, column in validity) \
+            or any(output.column not in schemas[output.alias] for output in outputs):
+        return "schema"
+    pairs += [(condition.left, condition.right) for condition in conditions]
+    columns = grouped + [op for pair in pairs for op in pair if op.kind == "col"]
+    declared = [schemas[op.alias].get(op.column) for op in columns]
+    if any(column is None or column[0] in TIP_DECLTYPES for column in declared):
+        return "schema"
+    if any(collation for _decltype, collation in declared):
+        return "collation"
+    for left, right in pairs:
+        affinity = _affinity(schemas[left.alias][left.column][0])
+        if right.kind == "col":
+            if _affinity(schemas[right.alias][right.column][0]) != affinity:
+                return "affinity"
+        elif affinity != "BLOB" and isinstance(right.value, str) != (affinity == "TEXT"):
+            return "affinity"
+    return None
 
 
 def _input_counts(connection, shape) -> List[int]:
@@ -254,9 +239,8 @@ def maybe_execute_kernel(
     *shape* is the compile-time matched shape when the caller already
     carries it (:attr:`repro.tsql.compiled.CompiledStatement.shape` —
     the hot prepared path, where re-matching per call would cost more
-    than the statement); left None, the shape is matched here via the
-    generation-keyed cache.  Runtime vetoes (armed faults, profiler,
-    schema types, row counts) apply identically either way.
+    than the statement); left None, *sql* is matched here.  Runtime
+    vetoes (armed faults, profiler, schema, row counts) apply either way.
     """
     if not state.enabled:
         return None
@@ -276,12 +260,13 @@ def maybe_execute_kernel(
         _fallback("profiler")
         return None
     if shape is None:
-        shape = _lookup_shape(sql)
+        shape = shapes.match(sql)
     if shape is None:
         _fallback("shape")
         return None
-    if not _schema_ok(connection, shape):
-        _fallback("schema")
+    veto = _schema_veto(connection, shape)
+    if veto is not None:
+        _fallback(veto)
         return None
     if max(_input_counts(connection, shape)) < state.min_rows:
         _fallback("small")
@@ -330,12 +315,12 @@ def describe(connection, sql: str) -> Dict[str, object]:
         return {"strategy": "naive", "reason": "planner disabled"}
     if not is_candidate(sql):
         return {"strategy": "naive", "reason": "no set-evaluable operator"}
-    shape = _lookup_shape(sql)
+    shape = shapes.match(sql)
     if shape is None:
         return {"strategy": "naive", "reason": "statement shape not matched"}
-    if not _schema_ok(connection, shape):
-        return {"strategy": "naive",
-                "reason": "column types outside kernel support"}
+    veto = _schema_veto(connection, shape)
+    if veto is not None:
+        return {"strategy": "naive", "reason": _VETO_REASONS[veto]}
     try:
         counts = _input_counts(connection, shape)
     except TipError:

@@ -1,569 +1,206 @@
-"""Pattern matching for the temporal query planner.
+"""Kernel shapes: a structural match over the statement IR.
 
-The planner (:mod:`repro.plan.planner`) only rewrites statements it
-*fully* understands; everything else keeps the tuple-at-a-time UDF
-path.  This module is the understanding part: it recognizes the two
-translated-SQL shapes the tSQL preprocessor (and hand-written TIP SQL
-in the same spelling) produces for set-evaluable temporal operations.
-
-**Sequenced overlap join** (two tables)::
-
-    SELECT a.x, b.y, tintersect(a.valid, b.valid) AS valid
-    FROM L AS a, R AS b
-    WHERE (<residual>) AND overlaps(a.valid, b.valid)
-
-optionally clipped to a period (the ``VALIDTIME PERIOD`` translation
-wraps the validity in ``restrict(..., period('[..]'))`` and adds one
-``overlaps(v, to_element(period('[..]')))`` conjunct per side).  The
-residual may be any top-level AND of simple comparisons —
-``alias.col <op> alias.col`` or ``alias.col <op> literal`` — which the
-kernels evaluate with SQLite's own comparison semantics.
-
-**Coalesce** (one table, the paper's ``group_union`` aggregation)::
-
-    SELECT k1, k2, group_union(valid) FROM T [WHERE <residual>]
-    GROUP BY k1, k2
-
-with the aggregate optionally wrapped in ``length(...)`` or
-``length_seconds(...)`` (Section 2's time-on-medication query).
-
-Matching is deliberately conservative: subqueries, three-way joins,
-ORDER BY / HAVING / LIMIT tails, ``DISTINCT``, OR-connected
-predicates, bind parameters, and anything else unrecognized all yield
-``None`` — the caller falls back to the naive path, which is always
-correct.
+:func:`match` finds, in the :mod:`repro.tsql.ir` form of a statement,
+the **sequenced overlap join** ``SELECT a.x, tintersect(a.valid,
+b.valid) FROM L a, R b WHERE <residual> AND overlaps(a.valid, b.valid)``
+(optionally clipped by ``restrict(.., period('[..]'))`` and one
+``overlaps(v, to_element(period('[..]')))`` per side) and the
+**coalesce** ``SELECT k, [length[_seconds](]group_union(valid)[)] FROM
+T [WHERE <residual>] GROUP BY k``; a residual is an AND of ``col <op>
+col|literal``.  Anything else yields None: the naive path stays.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import TranslationError
-from repro.tsql.preprocessor import _parse_from_items, split_select
+from repro.plan.kernels import (
+    CoalesceShape, Condition, JoinShape, Operand, OutputColumn,
+)
+from repro.tsql import ir
 
 __all__ = [
-    "Operand",
-    "Condition",
-    "OutputColumn",
-    "JoinShape",
-    "CoalesceShape",
-    "match",
+    "Operand", "Condition", "OutputColumn", "JoinShape", "CoalesceShape",
+    "is_candidate", "match",
 ]
 
-_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-_QUALREF_RE = re.compile(rf"^(?P<alias>{_IDENT})\.(?P<column>{_IDENT})$")
-_BARE_RE = re.compile(rf"^{_IDENT}$")
-_INT_RE = re.compile(r"^[+-]?\d+$")
-_FLOAT_RE = re.compile(r"^[+-]?(?:\d+\.\d*|\.\d+|\d+(?:\.\d*)?[eE][+-]?\d+)$")
-_STRING_RE = re.compile(r"^'(?P<body>(?:[^']|'')*)'$")
-_PERIOD_LIT = r"period\s*\(\s*'\[(?P<period>[^']*)\]'\s*\)"
-_TINTERSECT_RE = re.compile(
-    rf"^tintersect\s*\(\s*(?P<a>{_IDENT}\.{_IDENT})\s*,"
-    rf"\s*(?P<b>{_IDENT}\.{_IDENT})\s*\)$",
-    re.IGNORECASE,
-)
-_RESTRICT_RE = re.compile(
-    rf"^restrict\s*\(\s*(?P<inner>tintersect\s*\([^()]*\))\s*,"
-    rf"\s*{_PERIOD_LIT}\s*\)$",
-    re.IGNORECASE,
-)
-_PAIR_OVERLAP_RE = re.compile(
-    rf"^overlaps\s*\(\s*(?P<a>{_IDENT}\.{_IDENT})\s*,"
-    rf"\s*(?P<b>{_IDENT}\.{_IDENT})\s*\)$",
-    re.IGNORECASE,
-)
-_WINDOW_OVERLAP_RE = re.compile(
-    rf"^overlaps\s*\(\s*(?P<v>{_IDENT}\.{_IDENT})\s*,"
-    rf"\s*to_element\s*\(\s*{_PERIOD_LIT}\s*\)\s*\)$",
-    re.IGNORECASE,
-)
-_GROUP_UNION_RE = re.compile(
-    rf"^(?:(?P<wrapper>length_seconds|length)\s*\(\s*)?"
-    rf"group_union\s*\(\s*(?P<arg>(?:{_IDENT}\.)?{_IDENT})\s*\)"
-    rf"(?(wrapper)\s*\))$",
-    re.IGNORECASE,
-)
-_GROUP_BY_TAIL_RE = re.compile(
-    r"^GROUP\s+BY\s+(?P<keys>.+)$", re.IGNORECASE | re.DOTALL
-)
-#: Comparison operators, longest first so the scanner is greedy.
-_OPERATORS = ("<=", ">=", "<>", "!=", "==", "=", "<", ">")
-#: Words that would change comparison semantics if treated as values.
-_RESERVED_WORDS = frozenset({"null", "true", "false", "not", "in", "is",
-                             "like", "between", "or", "and", "case"})
+
+def is_candidate(sql: str) -> bool:
+    """Cheap pre-filter: could *sql* be a shape at all?  Statements
+    without a ``tintersect(`` or ``group_union(`` are never parsed."""
+    lowered = sql.lower()
+    return "tintersect(" in lowered or "group_union(" in lowered
 
 
-@dataclass(frozen=True)
-class Operand:
-    """One side of a comparison: a column reference or a literal."""
-
-    kind: str                 # "col" | "lit"
-    alias: str = ""           # "" for a bare (unqualified) column
-    column: str = ""
-    value: object = None
-
-
-@dataclass(frozen=True)
-class Condition:
-    """``left <op> right`` with at least one column operand."""
-
-    left: Operand
-    op: str
-    right: Operand
-
-
-@dataclass(frozen=True)
-class OutputColumn:
-    """A plain column in the select list, with its result-column name."""
-
-    name: str     # what sqlite3 would call the result column
-    alias: str    # source table alias ("" when written bare)
-    column: str   # source column name
-
-
-@dataclass(frozen=True)
-class JoinShape:
-    """A sequenced two-table overlap join the kernels can evaluate."""
-
-    left_table: str
-    left_alias: str
-    right_table: str
-    right_alias: str
-    outputs: Tuple[OutputColumn, ...]     # select list minus the validity slot
-    valid_at: int                         # where the validity column goes
-    valid_name: str
-    left_valid: str                       # validity column on the left table
-    right_valid: str
-    window: Optional[str] = None          # VALIDTIME PERIOD text, sans brackets
-    equalities: Tuple[Tuple[str, str], ...] = ()   # (left col, right col)
-    cross: Tuple[Condition, ...] = ()     # non-equality cross-side residuals
-    left_filters: Tuple[Condition, ...] = ()
-    right_filters: Tuple[Condition, ...] = ()
-
-    kind: str = field(default="join", init=False)
-
-
-@dataclass(frozen=True)
-class CoalesceShape:
-    """A ``group_union`` coalescing aggregation over one table."""
-
-    table: str
-    alias: str
-    outputs: Tuple[OutputColumn, ...]     # select list minus the aggregate
-    agg_at: int                           # where the aggregate column goes
-    agg_name: str
-    agg_wrapper: str                      # "" | "length" | "length_seconds"
-    agg_column: str
-    group_by: Tuple[str, ...]             # column names, select-independent
-    filters: Tuple[Condition, ...] = ()
-
-    kind: str = field(default="coalesce", init=False)
-
-
-# -- lexical helpers ----------------------------------------------------
-
-
-def _split_top_level_and(text: str) -> List[str]:
-    """Split on the word AND at paren/quote depth zero."""
-    parts: List[str] = []
-    upper = text.upper()
-    depth = 0
-    in_string = False
-    start = 0
-    index = 0
-    while index < len(text):
-        char = text[index]
-        if in_string:
-            if char == "'":
-                in_string = False
-        elif char == "'":
-            in_string = True
-        elif char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-        elif depth == 0 and upper.startswith("AND", index):
-            before_ok = index == 0 or not (text[index - 1].isalnum()
-                                           or text[index - 1] == "_")
-            after = index + 3
-            after_ok = after >= len(text) or not (text[after].isalnum()
-                                                  or text[after] == "_")
-            if before_ok and after_ok:
-                parts.append(text[start:index])
-                start = after
-                index = after
-                continue
-        index += 1
-    parts.append(text[start:])
-    return [part.strip() for part in parts if part.strip()]
-
-
-def _strip_parens(text: str) -> str:
-    """Remove enclosing parentheses that wrap the whole expression."""
-    text = text.strip()
-    while text.startswith("(") and text.endswith(")"):
-        depth = 0
-        closes_early = False
-        for index, char in enumerate(text):
-            if char == "'":
-                # A quote inside the candidate parens: bail out of the
-                # cheap scan and keep the text as-is (conjuncts with
-                # strings still strip when the parens pair cleanly,
-                # because quotes cannot hide an unbalanced paren here —
-                # the SQL already parsed).
-                pass
-            if char == "(":
-                depth += 1
-            elif char == ")":
-                depth -= 1
-                if depth == 0 and index < len(text) - 1:
-                    closes_early = True
-                    break
-        if closes_early:
-            break
-        text = text[1:-1].strip()
-    return text
-
-
-def _conjuncts(where: str) -> List[str]:
-    """Flatten a WHERE clause into top-level AND-ed atoms."""
-    out: List[str] = []
-    for part in _split_top_level_and(where):
-        stripped = _strip_parens(part)
-        if stripped != part or len(_split_top_level_and(stripped)) > 1:
-            out.extend(_conjuncts(stripped))
-        else:
-            out.append(stripped)
-    return out
-
-
-def _split_alias_clause(item: str) -> Tuple[str, Optional[str]]:
-    """``expr [AS name]`` split at the top-level AS; (expr, name|None)."""
-    upper = item.upper()
-    depth = 0
-    in_string = False
-    for index in range(len(item) - 1, -1, -1):
-        char = item[index]
-        if in_string:
-            if char == "'":
-                in_string = False
-        elif char == "'":
-            in_string = True
-        elif char == ")":
-            depth += 1
-        elif char == "(":
-            depth -= 1
-        elif depth == 0 and upper.startswith("AS", index):
-            before_ok = index > 0 and upper[index - 1].isspace()
-            after = index + 2
-            after_ok = after < len(item) and item[after].isspace()
-            if before_ok and after_ok:
-                name = item[after:].strip()
-                if _BARE_RE.match(name):
-                    return item[:index].strip(), name
-                return item, None
-    return item.strip(), None
-
-
-def _parse_operand(text: str, aliases: Sequence[str],
-                   allow_bare: bool) -> Optional[Operand]:
-    text = text.strip()
-    lowered = text.lower()
-    if lowered in _RESERVED_WORDS:
-        return None
-    match = _QUALREF_RE.match(text)
-    if match:
-        if match["alias"] not in aliases:
-            return None
-        return Operand("col", alias=match["alias"], column=match["column"])
-    if allow_bare and _BARE_RE.match(text):
-        return Operand("col", alias="", column=text)
-    if _INT_RE.match(text):
-        return Operand("lit", value=int(text))
-    if _FLOAT_RE.match(text):
-        return Operand("lit", value=float(text))
-    match = _STRING_RE.match(text)
-    if match:
-        return Operand("lit", value=match["body"].replace("''", "'"))
-    return None
-
-
+_CANONICAL = {"==": "=", "<>": "!="}
 _FLIPPED = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
 
-def _parse_comparison(text: str, aliases: Sequence[str],
-                      allow_bare: bool) -> Optional[Condition]:
-    """One ``side <op> side`` comparison, or None."""
-    depth = 0
-    in_string = False
-    index = 0
-    while index < len(text):
-        char = text[index]
-        if in_string:
-            if char == "'":
-                in_string = False
-            index += 1
-            continue
-        if char == "'":
-            in_string = True
-        elif char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-        elif depth == 0:
-            for op in _OPERATORS:
-                if text.startswith(op, index):
-                    left = _parse_operand(text[:index], aliases, allow_bare)
-                    right = _parse_operand(text[index + len(op):], aliases,
-                                           allow_bare)
-                    if left is None or right is None:
-                        return None
-                    canon = {"==": "=", "<>": "!="}.get(op, op)
-                    if left.kind == "lit" and right.kind == "col":
-                        left, right = right, left
-                        canon = _FLIPPED.get(canon, canon)
-                    if left.kind != "col":
-                        return None  # two literals: not worth modeling
-                    return Condition(left, canon, right)
-        index += 1
+def _call(node: ir.Node, name: str, arity: int) -> bool:
+    return node.kind == "call" and node.name == name and len(node.args) == arity
+
+
+def _ref(node: ir.Node) -> Optional[Tuple[str, str]]:
+    """``(alias, column)`` of a qualified column reference."""
+    return (node.qualifier, node.name) if node.kind == "col" and node.qualifier else None
+
+
+def _period(node: ir.Node) -> Optional[str]:
+    """The body of ``period('[...]')``."""
+    body = node.args[0].value if _call(node, "period", 1) else None
+    framed = isinstance(body, str) and body[:1] == "[" and body[-1:] == "]"
+    return body[1:-1] if framed and "'" not in body else None
+
+
+def _operand(node: ir.Node, aliases: Sequence[str], allow_bare: bool,
+             literal: bool = True) -> Optional[Operand]:
+    """A column of one of *aliases* (or a bare one), or a literal."""
+    if node.kind == "lit" and literal:
+        return Operand("lit", value=node.value)
+    if node.kind == "col" and (node.qualifier in aliases
+                               or (allow_bare and not node.qualifier)):
+        return Operand("col", alias=node.qualifier, column=node.name)
     return None
 
 
-# -- the matcher --------------------------------------------------------
+def _condition(node: ir.Node, aliases: Sequence[str],
+               allow_bare: bool) -> Optional[Condition]:
+    """One ``side <op> side`` comparison, column first, or None."""
+    if node.kind != "cmp":
+        return None
+    left = _operand(node.args[0], aliases, allow_bare)
+    right = _operand(node.args[1], aliases, allow_bare)
+    op = _CANONICAL.get(node.name, node.name)
+    if left is not None and right is not None and left.kind == "lit":
+        left, right, op = right, left, _FLIPPED.get(op, op)
+    if left is None or right is None or left.kind != "col":
+        return None  # two literals: not worth modeling
+    return Condition(left, op, right)
 
 
-def match(sql: str) -> Optional[Union[JoinShape, CoalesceShape]]:
-    """Recognize *sql* as a kernel-evaluable shape, or return None."""
-    stripped = sql.strip()
-    if not stripped.upper().startswith("SELECT") or "?" in stripped:
+def match(statement: Union[str, ir.Select]) -> Optional[Union[JoinShape, CoalesceShape]]:
+    """Recognize a statement (IR or SQL text) as a kernel-evaluable shape."""
+    if isinstance(statement, str):
+        try:
+            statement = ir.parse(statement)
+        except TranslationError:
+            return None
+    if statement.modifier or statement.params \
+            or any(item.kind != "table" for item in statement.from_items):
         return None
-    try:
-        parts = split_select(stripped)
-        from_items = _parse_from_items(parts.from_list)
-    except TranslationError:
-        return None
-    if parts.select_list.upper().startswith(("DISTINCT", "ALL ")):
-        return None
-    if len(from_items) == 2:
-        return _match_join(parts, from_items)
-    if len(from_items) == 1:
-        return _match_coalesce(parts, from_items[0])
-    return None
+    matcher = {1: _match_coalesce, 2: _match_join}.get(len(statement.from_items))
+    return matcher(statement) if matcher else None
 
 
-def _match_join(parts, from_items) -> Optional[JoinShape]:
-    if parts.tail:
+def _match_join(select: ir.Select) -> Optional[JoinShape]:
+    left, right = select.from_items
+    aliases = (left.alias, right.alias)
+    if select.tail or left.alias == right.alias:
         return None
-    (left_table, left_alias), (right_table, right_alias) = from_items
-    if left_alias == right_alias:
-        return None
-    aliases = (left_alias, right_alias)
-
     outputs: List[OutputColumn] = []
-    valid_at = None
-    valid_name = None
-    validity_refs = None
-    window = None
-    items = _split_select_items(parts.select_list)
-    if items is None:
-        return None
-    for index, item in enumerate(items):
-        expr, name = _split_alias_clause(item)
-        restrict = _RESTRICT_RE.match(expr)
-        inner = restrict["inner"] if restrict else expr
-        tint = _TINTERSECT_RE.match(inner.strip())
-        if tint:
+    valid_at = valid_name = refs = window = None
+    for index, item in enumerate(select.items):
+        node, period = item, None
+        if _call(item, "restrict", 2):
+            node, period = item.args[0], _period(item.args[1])
+        if _call(node, "tintersect", 2) and (period is not None or node is item):
             if valid_at is not None:
                 return None  # two validity expressions: not our shape
-            valid_at = index
-            valid_name = name if name is not None else expr
-            validity_refs = (tint["a"], tint["b"])
-            window = restrict["period"] if restrict else None
-            continue
-        ref = _QUALREF_RE.match(expr)
-        if ref is None or ref["alias"] not in aliases or name == "":
+            refs = (_ref(node.args[0]), _ref(node.args[1]))
+            valid_at, valid_name, window = index, item.alias or item.text, period
+        elif _operand(item, aliases, allow_bare=False, literal=False):
+            outputs.append(OutputColumn(item.alias or item.name, item.qualifier, item.name))
+        else:
             return None
-        outputs.append(OutputColumn(
-            name=name if name is not None else ref["column"],
-            alias=ref["alias"], column=ref["column"],
-        ))
-    if valid_at is None or parts.where is None:
+    # The validity refs: exactly one per side.
+    if valid_at is None or None in refs or {a for a, _ in refs} != set(aliases):
         return None
-
-    # Resolve the validity refs: exactly one per side.
-    by_alias = {}
-    for text in validity_refs:
-        ref = _QUALREF_RE.match(text)
-        if ref is None or ref["alias"] in by_alias:
-            return None
-        by_alias[ref["alias"]] = ref["column"]
-    if set(by_alias) != set(aliases):
-        return None
-    left_valid, right_valid = by_alias[left_alias], by_alias[right_alias]
 
     pair_seen = False
     window_seen = set()
     equalities: List[Tuple[str, str]] = []
     cross: List[Condition] = []
-    left_filters: List[Condition] = []
-    right_filters: List[Condition] = []
-    for conjunct in _conjuncts(parts.where):
-        pair = _PAIR_OVERLAP_RE.match(conjunct)
-        if pair:
-            if pair_seen or {pair["a"], pair["b"]} != set(validity_refs):
-                return None
-            pair_seen = True
-            continue
-        window_match = _WINDOW_OVERLAP_RE.match(conjunct)
-        if window_match:
-            if window is None or window_match["period"] != window:
-                return None
-            if window_match["v"] not in validity_refs:
-                return None
-            window_seen.add(window_match["v"])
-            continue
-        condition = _parse_comparison(conjunct, aliases, allow_bare=False)
+    filters: Dict[str, List[Condition]] = {left.alias: [], right.alias: []}
+    for node in select.conjuncts:
+        if _call(node, "overlaps", 2):
+            first, second = _ref(node.args[0]), _ref(node.args[1])
+            clip = node.args[1]
+            if first and second:
+                if pair_seen or {first, second} != set(refs):
+                    return None
+                pair_seen = True
+                continue
+            if first and _call(clip, "to_element", 1) \
+                    and _period(clip.args[0]) is not None:
+                if _period(clip.args[0]) != window or first not in refs:
+                    return None
+                window_seen.add(first)
+                continue
+        condition = _condition(node, aliases, allow_bare=False)
         if condition is None:
             return None
-        sides = {op.alias for op in (condition.left, condition.right)
-                 if op.kind == "col"}
-        if sides == set(aliases):
-            if condition.op == "=":
-                left_op, right_op = condition.left, condition.right
-                if left_op.alias == right_alias:
-                    left_op, right_op = right_op, left_op
-                equalities.append((left_op.column, right_op.column))
-            else:
-                cross.append(_normalize_cross(condition, left_alias))
-        elif sides == {left_alias}:
-            left_filters.append(condition)
-        else:
-            right_filters.append(condition)
-    if not pair_seen:
+        a, b = condition.left, condition.right
+        sides = {op.alias for op in (a, b) if op.kind == "col"}
+        if len(sides) == 2 and condition.op == "=":
+            if a.alias != left.alias:
+                a, b = b, a
+            equalities.append((a.column, b.column))
+        elif any(op.kind == "col" and (op.alias, op.column) in refs for op in (a, b)):
+            return None  # ordering validity blobs is beyond the kernels
+        elif len(sides) == 1:
+            filters[sides.pop()].append(condition)
+        elif a.alias == left.alias:
+            cross.append(condition)
+        else:  # cross-side comparisons put the left table's operand first
+            cross.append(Condition(b, _FLIPPED.get(condition.op, condition.op), a))
+    if not pair_seen or (window is not None and window_seen != set(refs)):
         return None
-    if window is not None and window_seen != set(validity_refs):
-        return None
-
-    # The validity columns take part in overlaps/tintersect only; a
-    # validity column also appearing in a comparison would need blob
-    # ordering semantics the kernels do not model.
-    for condition in cross + left_filters + right_filters:
-        for operand in (condition.left, condition.right):
-            if operand.kind == "col" and (
-                (operand.alias == left_alias and operand.column == left_valid)
-                or (operand.alias == right_alias
-                    and operand.column == right_valid)):
-                return None
+    valid = dict(refs)
     return JoinShape(
-        left_table=left_table, left_alias=left_alias,
-        right_table=right_table, right_alias=right_alias,
+        left_table=left.name, left_alias=left.alias,
+        right_table=right.name, right_alias=right.alias,
         outputs=tuple(outputs), valid_at=valid_at, valid_name=valid_name,
-        left_valid=left_valid, right_valid=right_valid, window=window,
-        equalities=tuple(equalities), cross=tuple(cross),
-        left_filters=tuple(left_filters), right_filters=tuple(right_filters),
+        left_valid=valid[left.alias], right_valid=valid[right.alias],
+        window=window, equalities=tuple(equalities), cross=tuple(cross),
+        left_filters=tuple(filters[left.alias]),
+        right_filters=tuple(filters[right.alias]),
     )
 
 
-def _normalize_cross(condition: Condition, left_alias: str) -> Condition:
-    """Cross-side comparisons with the left table's operand first."""
-    if condition.left.alias == left_alias:
-        return condition
-    return Condition(condition.right,
-                     _FLIPPED.get(condition.op, condition.op),
-                     condition.left)
-
-
-def _match_coalesce(parts, from_item) -> Optional[CoalesceShape]:
-    table, alias = from_item
-    tail_match = _GROUP_BY_TAIL_RE.match(parts.tail or "")
-    if not tail_match:
+def _match_coalesce(select: ir.Select) -> Optional[CoalesceShape]:
+    table, aliases = select.from_items[0].name, (select.from_items[0].alias,)
+    keys = [_operand(key, aliases, True, literal=False) for key in select.group_by]
+    if select.clauses != ("GROUP BY",) or None in keys:
         return None
-    group_by: List[str] = []
-    for key in tail_match["keys"].split(","):
-        operand = _parse_operand(key, (alias,), allow_bare=True)
-        if operand is None or operand.kind != "col":
-            return None
-        group_by.append(operand.column)
-    if not group_by:
-        return None
-
+    group_by = [key.column for key in keys]
     outputs: List[OutputColumn] = []
-    agg_at = None
-    agg_name = None
+    agg_at = agg_name = agg_column = None
     agg_wrapper = ""
-    agg_column = None
-    items = _split_select_items(parts.select_list)
-    if items is None:
-        return None
-    for index, item in enumerate(items):
-        expr, name = _split_alias_clause(item)
-        agg = _GROUP_UNION_RE.match(expr)
-        if agg:
-            if agg_at is not None:
+    for index, item in enumerate(select.items):
+        node, wrapper = item, ""
+        if (_call(item, "length", 1) or _call(item, "length_seconds", 1)) \
+                and _call(item.args[0], "group_union", 1):
+            node, wrapper = item.args[0], item.name
+        if _call(node, "group_union", 1):
+            operand = _operand(node.args[0], aliases, True, literal=False)
+            if agg_at is not None or operand is None:
                 return None
-            agg_at = index
-            agg_name = name if name is not None else expr
-            agg_wrapper = (agg["wrapper"] or "").lower()
-            operand = _parse_operand(agg["arg"], (alias,), allow_bare=True)
-            if operand is None or operand.kind != "col":
-                return None
-            agg_column = operand.column
+            agg_at, agg_wrapper, agg_column = index, wrapper, operand.column
+            agg_name = item.alias or item.text
             continue
-        operand = _parse_operand(expr, (alias,), allow_bare=True)
-        if operand is None or operand.kind != "col" or name == "":
-            return None
-        if operand.column not in group_by:
-            return None  # bare-value select outside GROUP BY: arbitrary row
-        outputs.append(OutputColumn(
-            name=name if name is not None else operand.column,
-            alias=operand.alias, column=operand.column,
-        ))
-    if agg_at is None:
+        operand = _operand(item, aliases, True, literal=False)
+        if operand is None or operand.column not in group_by:
+            return None  # a bare value outside GROUP BY comes from any row
+        outputs.append(OutputColumn(item.alias or item.name, item.qualifier, item.name))
+    if agg_at is None or agg_column in group_by:
         return None
-
-    filters: List[Condition] = []
-    if parts.where:
-        for conjunct in _conjuncts(parts.where):
-            condition = _parse_comparison(conjunct, (alias,), allow_bare=True)
-            if condition is None:
-                return None
-            filters.append(condition)
-    for condition in filters:
-        for operand in (condition.left, condition.right):
-            if operand.kind == "col" and operand.column == agg_column:
-                return None
-    if agg_column in group_by:
+    filters = [_condition(node, aliases, allow_bare=True) for node in select.conjuncts]
+    if None in filters or any(op.kind == "col" and op.column == agg_column
+                              for f in filters for op in (f.left, f.right)):
         return None
     return CoalesceShape(
-        table=table, alias=alias, outputs=tuple(outputs), agg_at=agg_at,
+        table=table, alias=aliases[0], outputs=tuple(outputs), agg_at=agg_at,
         agg_name=agg_name, agg_wrapper=agg_wrapper, agg_column=agg_column,
         group_by=tuple(group_by), filters=tuple(filters),
     )
-
-
-def _split_select_items(select_list: str) -> Optional[List[str]]:
-    """Top-level comma split; None when the list is empty or has ``*``."""
-    items: List[str] = []
-    depth = 0
-    in_string = False
-    start = 0
-    for index, char in enumerate(select_list):
-        if in_string:
-            if char == "'":
-                in_string = False
-            continue
-        if char == "'":
-            in_string = True
-        elif char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-        elif char == "," and depth == 0:
-            items.append(select_list[start:index].strip())
-            start = index + 1
-    items.append(select_list[start:].strip())
-    if not items or any(not item or "*" in item for item in items):
-        return None
-    return items

@@ -55,6 +55,7 @@ from typing import Dict, Optional, Tuple
 from repro.codec.cache import LRUCache
 from repro.faults import state as _FAULTS
 from repro.obs import flight as _flight
+from repro.tsql import ir, preprocessor  # it imports this module: use attributes late
 
 __all__ = [
     "CompiledStatement", "StatementCompiler", "state", "CACHE",
@@ -134,6 +135,9 @@ class CompiledStatement:
     #: generation-keyed.  Runtime vetoes (schema types, row counts,
     #: armed faults) are still checked per execution by the planner.
     shape: Optional[object] = None
+    #: The translated statement's IR (None when translation passed the
+    #: text through unparsed).
+    select: Optional[ir.Select] = None
 
 
 def normalize_statement(statement: str) -> Optional[str]:
@@ -176,8 +180,6 @@ def count_params(statement: str) -> int:
     return count
 
 
-_count_params = count_params
-
 
 def generation() -> int:
     """The current registry generation (monotonic, process-wide)."""
@@ -203,39 +205,37 @@ def bump_generation() -> int:
     return new_generation
 
 
-_SHAPE_MATCHER = None
-
-
-def _match_kernel_shape(sql: str):
-    """The planner's shape for *sql*, or None (lazy import: cycle).
-
-    Goes through the planner's generation-keyed shape LRU, not the raw
-    matcher: with the statement cache disabled (or thrashing) every
-    call re-compiles, and a candidate-but-unmatched statement would
-    otherwise re-pay the full regex matcher per call.
-    """
-    global _SHAPE_MATCHER
-    if _SHAPE_MATCHER is None:
-        from repro.plan import planner
-
-        _SHAPE_MATCHER = (planner.is_candidate, planner._lookup_shape)
-    is_candidate, lookup = _SHAPE_MATCHER
-    return lookup(sql) if is_candidate(sql) else None
-
-
 def _compile(statement: str, valid_columns: Dict[str, str], gen: int) -> CompiledStatement:
-    from repro.tsql.preprocessor import translate_tsql  # lazy: avoids an import cycle
+    from repro.plan import shapes  # lazy: the plan package pulls in the kernels
 
-    sql = translate_tsql(statement, valid_columns)
+    sql, select = preprocessor.translate(statement, valid_columns)
     ddl = bool(_DDL_RE.match(sql))
+    shape = None
+    if not ddl and shapes.is_candidate(sql):
+        shape = shapes.match(sql if select is None else select)
     return CompiledStatement(
         statement=statement,
         sql=sql,
-        params=_count_params(statement),
+        params=count_params(statement),
         ddl=ddl,
         generation=gen,
-        shape=None if ddl else _match_kernel_shape(sql),
+        shape=shape,
+        select=select,
     )
+
+
+def _cached(text: str, valid_columns: Dict[str, str]) -> CompiledStatement:
+    """The compiled form of fingerprint *text*, from the LRU when present."""
+    gen = generation()
+    key: Tuple = (text, tuple(sorted(valid_columns.items())), gen)
+    plan = CACHE.get(key)
+    hit = plan is not None
+    if not hit:
+        plan = _compile(text, valid_columns, gen)
+        CACHE.put(key, plan)
+    if _flight.state.enabled:
+        _flight.record("cache.stmt.hit" if hit else "cache.stmt.miss", sql=text[:120])
+    return plan
 
 
 def compile_statement(statement: str, valid_columns: Dict[str, str]) -> CompiledStatement:
@@ -248,24 +248,11 @@ def compile_statement(statement: str, valid_columns: Dict[str, str]) -> Compiled
     """
     if _FAULTS.plan is not None:
         _FAULTS.plan.apply("stmt.cache")
-        return _compile(statement.strip(), valid_columns, generation())
-    if not state.enabled:
-        return _compile(statement.strip(), valid_columns, generation())
-    normalized = normalize_statement(statement)
-    if normalized is None:
-        return _compile(statement.strip(), valid_columns, generation())
-    gen = generation()
-    key: Tuple = (normalized, tuple(sorted(valid_columns.items())), gen)
-    cached = CACHE.get(key)
-    if cached is not None:
-        if _flight.state.enabled:
-            _flight.record("cache.stmt.hit", sql=normalized[:120])
-        return cached
-    compiled = _compile(normalized, valid_columns, gen)
-    CACHE.put(key, compiled)
-    if _flight.state.enabled:
-        _flight.record("cache.stmt.miss", sql=normalized[:120])
-    return compiled
+    elif state.enabled:
+        normalized = normalize_statement(statement)
+        if normalized is not None:
+            return _cached(normalized, valid_columns)
+    return _compile(statement.strip(), valid_columns, generation())
 
 
 def compile_normalized(statement: str, valid_columns: Dict[str, str]) -> CompiledStatement:
@@ -280,21 +267,9 @@ def compile_normalized(statement: str, valid_columns: Dict[str, str]) -> Compile
     """
     if _FAULTS.plan is not None:
         _FAULTS.plan.apply("stmt.cache")
-        return _compile(statement, valid_columns, generation())
-    if not state.enabled:
-        return _compile(statement, valid_columns, generation())
-    gen = generation()
-    key: Tuple = (statement, tuple(sorted(valid_columns.items())), gen)
-    cached = CACHE.get(key)
-    if cached is not None:
-        if _flight.state.enabled:
-            _flight.record("cache.stmt.hit", sql=statement[:120])
-        return cached
-    plan = _compile(statement, valid_columns, gen)
-    CACHE.put(key, plan)
-    if _flight.state.enabled:
-        _flight.record("cache.stmt.miss", sql=statement[:120])
-    return plan
+    elif state.enabled:
+        return _cached(statement, valid_columns)
+    return _compile(statement, valid_columns, generation())
 
 
 def discover_valid_columns(connection) -> Dict[str, str]:
@@ -303,16 +278,15 @@ def discover_valid_columns(connection) -> Dict[str, str]:
     The first column declared ``ELEMENT`` per table, lower-cased table
     name as the key — the same rule :class:`TsqlSession` applies.
     """
-    from repro.tsql.preprocessor import _ELEMENT_COLUMN_RE  # lazy: import cycle
-
     discovered: Dict[str, str] = {}
     rows = connection.query(
         "SELECT name, sql FROM sqlite_master WHERE type = 'table' AND sql IS NOT NULL"
     )
     for name, ddl in rows:
-        match = _ELEMENT_COLUMN_RE.search(ddl or "")
-        if match:
-            discovered.setdefault(name.lower(), match.group(1))
+        valid = [column for column, decltype, _ in ir.columns(ddl or "")
+                 if decltype.upper() == "ELEMENT"]
+        if valid:
+            discovered.setdefault(name.lower(), valid[0])
     return discovered
 
 

@@ -41,12 +41,8 @@ from repro.obs import profile as _profile
 from repro.obs.export import render_profile
 from repro.obs.profile import QueryProfile, StatementRecorder
 from repro.tsql import compiled as _compiled
-from repro.tsql.preprocessor import (
-    TsqlSession,
-    _parse_from_items,
-    split_select,
-    strip_explain,
-)
+from repro.tsql import ir
+from repro.tsql.preprocessor import TsqlSession, _table_pairs, strip_explain
 
 __all__ = ["ExplainReport", "EnginePlan", "explain_temporal"]
 
@@ -58,10 +54,6 @@ _CONTAINS_INSTANT_RE = re.compile(
 _RANGE_LITERAL_RE = re.compile(
     r"(?:period|element)\s*\(\s*'\{?\[(?P<lo>[^,\]]+),(?P<hi>[^\]]+)\]\}?'\s*\)",
     re.IGNORECASE,
-)
-_GROUP_BY_RE = re.compile(
-    r"\bGROUP\s+BY\s+(?P<keys>.+?)(?:\s+(?:ORDER\s+BY|HAVING|LIMIT)\b|$)",
-    re.IGNORECASE | re.DOTALL,
 )
 
 
@@ -227,20 +219,6 @@ def _query_plan(raw_connection, sql: str, params=()) -> List[str]:
     return [str(row[-1]) for row in rows]
 
 
-def _group_by_keys(tail: str) -> List[str]:
-    match = _GROUP_BY_RE.search(tail)
-    if not match:
-        return []
-    keys = []
-    for part in match["keys"].split(","):
-        name = part.strip()
-        if "." in name:
-            name = name.rsplit(".", 1)[1]
-        if name:
-            keys.append(name)
-    return keys
-
-
 def _time_point_seconds(text: str, now_seconds: int) -> int:
     text = text.strip()
     if text.upper() == "NOW":
@@ -270,7 +248,8 @@ def explain_temporal(
     else:
         session.rescan()
     hits_before = _compiled.CACHE.stats()["hits"]
-    translated = session.translate(inner)
+    compiled = session.compile(inner)
+    translated = compiled.sql
     cache_snapshot = _compiled.stats()
     statement_cache = {
         "enabled": cache_snapshot["enabled"],
@@ -307,7 +286,7 @@ def explain_temporal(
             blade.profile = cursor.profile
         blade.plan = _query_plan(connection.raw, translated)
 
-        layered = _layered_side(connection, session, translated)
+        layered = _layered_side(connection, session, translated, compiled.select)
     finally:
         if not metrics_were_on:
             _obs.disable()
@@ -321,11 +300,13 @@ def _layered_side(
     connection: TipConnection,
     session: TsqlSession,
     translated: str,
+    select: Optional[ir.Select],
 ) -> EnginePlan:
     layered = EnginePlan(engine="layered", sql="")
     try:
-        parts = split_select(translated)
-        from_items = _parse_from_items(parts.from_list)
+        if select is None:
+            select = ir.parse(translated)
+        from_items = _table_pairs(select.from_items)
     except TranslationError as exc:
         layered.note = f"layered comparison skipped: {exc}"
         return layered
@@ -352,7 +333,7 @@ def _layered_side(
         return layered
 
     try:
-        _run_layered(engine, layered, translated, parts, tables, now_seconds)
+        _run_layered(engine, layered, translated, select, tables, now_seconds)
     finally:
         engine.close()
     return layered
@@ -362,14 +343,14 @@ def _run_layered(
     engine: LayeredEngine,
     layered: EnginePlan,
     translated: str,
-    parts,
+    select: ir.Select,
     tables: Sequence[Tuple[str, str]],
     now_seconds: int,
 ) -> None:
     """Classify the statement, run the layered op, and fill the plan."""
     first = tables[0][0]
     schema = engine.schema(first)
-    keys = _group_by_keys(parts.tail)
+    keys = [key.name if key.kind == "col" else key.text for key in select.group_by]
     range_match = _RANGE_LITERAL_RE.search(translated)
     instant_match = _CONTAINS_INSTANT_RE.search(translated)
 

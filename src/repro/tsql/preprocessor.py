@@ -31,14 +31,13 @@ validity.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.client.connection import TipConnection
 from repro.errors import TranslationError
-from repro.tsql import compiled
+from repro.tsql import compiled, ir
 
-__all__ = ["TsqlSession", "translate_tsql", "split_select", "strip_explain"]
+__all__ = ["TsqlSession", "translate", "translate_tsql", "split_select", "strip_explain"]
 
 _EXPLAIN_RE = re.compile(
     r"^\s*EXPLAIN\s+TEMPORAL\s+(?P<rest>\S.*)$",
@@ -59,159 +58,100 @@ def strip_explain(statement: str) -> Optional[str]:
     match = _EXPLAIN_RE.match(statement)
     return match["rest"].strip() if match else None
 
-_MODIFIER_RE = re.compile(
-    r"""^\s*
-        (?:
-            (?P<nonseq>NONSEQUENCED\s+VALIDTIME)
-          | (?P<validtime>VALIDTIME)(?:\s+PERIOD\s+'(?P<period>[^']*)')?
-          | (?P<snapshot>SNAPSHOT)(?:\s+AT\s+'(?P<at>[^']*)')?
-        )
-        \s+(?P<rest>SELECT\b.*)$""",
-    re.IGNORECASE | re.DOTALL | re.VERBOSE,
-)
 
-_CLAUSE_KEYWORDS = ("FROM", "WHERE", "GROUP BY", "ORDER BY", "HAVING", "LIMIT")
-
-
-def _find_top_level(sql: str, keyword: str) -> int:
-    """Index of *keyword* at paren/quote depth zero, or -1."""
-    upper = sql.upper()
-    target = keyword.upper()
-    depth = 0
-    in_string = False
-    index = 0
-    while index < len(sql):
-        char = sql[index]
-        if in_string:
-            if char == "'":
-                in_string = False
-        elif char == "'":
-            in_string = True
-        elif char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-        elif depth == 0 and upper.startswith(target, index):
-            before_ok = index == 0 or not (sql[index - 1].isalnum() or sql[index - 1] == "_")
-            after = index + len(target)
-            after_ok = after >= len(sql) or not (sql[after].isalnum() or sql[after] == "_")
-            if before_ok and after_ok:
-                return index
-        index += 1
-    return -1
-
-
-@dataclass
-class SelectParts:
-    """A SELECT statement split into its top-level clauses."""
-
-    select_list: str
-    from_list: str
-    where: Optional[str]
-    tail: str  # GROUP BY / ORDER BY / ... onwards, verbatim
-
-
-def split_select(sql: str) -> SelectParts:
-    """Split a single SELECT into clauses at top level."""
-    stripped = sql.strip().rstrip(";")
-    if not stripped.upper().startswith("SELECT"):
+def split_select(sql: str) -> ir.Select:
+    """*sql* (a plain SELECT) parsed; the clause texts are its
+    ``select_list``, ``from_list``, ``where`` and ``tail``."""
+    select = ir.parse(sql)
+    if select.modifier:
         raise TranslationError("statement must start with SELECT")
-    from_at = _find_top_level(stripped, "FROM")
-    if from_at < 0:
-        raise TranslationError("statement has no FROM clause")
-    select_list = stripped[len("SELECT"):from_at].strip()
-    remainder = stripped[from_at + len("FROM"):]
-
-    boundaries: List[Tuple[int, str]] = []
-    for keyword in ("WHERE", "GROUP BY", "ORDER BY", "HAVING", "LIMIT"):
-        at = _find_top_level(remainder, keyword)
-        if at >= 0:
-            boundaries.append((at, keyword))
-    boundaries.sort()
-
-    from_end = boundaries[0][0] if boundaries else len(remainder)
-    from_list = remainder[:from_end].strip()
-
-    where = None
-    tail_start = from_end
-    if boundaries and boundaries[0][1] == "WHERE":
-        where_start = boundaries[0][0] + len("WHERE")
-        where_end = boundaries[1][0] if len(boundaries) > 1 else len(remainder)
-        where = remainder[where_start:where_end].strip()
-        tail_start = where_end
-    tail = remainder[tail_start:].strip()
-    return SelectParts(select_list, from_list, where, tail)
+    return select
 
 
-def _split_commas_with_offsets(text: str) -> List[Tuple[str, int]]:
-    """Top-level comma parts of *text* with the offset of each part.
-
-    Offsets point at the first non-space character of the (stripped)
-    part within *text*, so error reports can locate the clause.
-    """
-    parts: List[Tuple[str, int]] = []
-    depth = 0
-    in_string = False
-    start = 0
-    index = 0
-    for index, char in enumerate(text):
-        if in_string:
-            if char == "'":
-                in_string = False
-            continue
-        if char == "'":
-            in_string = True
-        elif char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-        elif char == "," and depth == 0:
-            parts.append((text[start:index], start))
-            start = index + 1
-    parts.append((text[start:], start))
-    stripped: List[Tuple[str, int]] = []
-    for part, at in parts:
-        lead = len(part) - len(part.lstrip())
-        part = part.strip()
-        if part:
-            stripped.append((part, at + lead))
-    return stripped
-
-
-def _split_top_level_commas(text: str) -> List[str]:
-    return [part for part, _ in _split_commas_with_offsets(text)]
-
-
-_FROM_ITEM_RE = re.compile(
-    r"^(?P<table>[A-Za-z_][A-Za-z0-9_]*)(?:\s+(?:AS\s+)?(?P<alias>[A-Za-z_][A-Za-z0-9_]*))?$",
-    re.IGNORECASE,
-)
-
-
-def _parse_from_items(from_list: str, *, base: int = 0) -> List[Tuple[str, str]]:
-    """``(table, alias)`` pairs; alias defaults to the table name.
-
-    Items may be grouped in parentheses — ``(a AS x, b AS y)``, nested
-    arbitrarily — which is how the linq compiler spells a join's FROM
-    list.  *base* offsets error positions into the caller's statement.
-    """
-    items = []
-    for part, at in _split_commas_with_offsets(from_list):
-        if part.startswith("(") and part.endswith(")"):
-            items.extend(_parse_from_items(part[1:-1], base=base + at + 1))
-            continue
-        match = _FROM_ITEM_RE.match(part)
-        if not match:
+def _table_pairs(items: Sequence[ir.Node]) -> List[Tuple[str, str]]:
+    """``(table, alias)`` pairs of FROM items; the first item that is not
+    ``table [AS] alias`` raises, with its text and offset."""
+    for item in items:
+        if item.kind != "table":
             raise TranslationError(
-                f"unsupported FROM item {part!r} at offset {base + at} "
+                f"unsupported FROM item {item.text!r} at offset {item.start} "
                 "(plain 'table [AS] alias' items, optionally parenthesized)",
-                clause=part,
-                offset=base + at,
+                clause=item.text,
+                offset=item.start,
             )
-        table = match["table"]
-        alias = match["alias"] or table
-        items.append((table, alias))
-    return items
+    return [(item.name, item.alias) for item in items]
+
+
+def _parse_from_items(from_list: str) -> List[Tuple[str, str]]:
+    """``(table, alias)`` pairs of a FROM list (groups flattened)."""
+    return _table_pairs(ir.from_items(from_list))
+
+
+def _call(name: str, *args: ir.Node) -> ir.Node:
+    """``name(args)`` as translation adds it (offset -1)."""
+    return ir.Node("call", f"{name}({', '.join(arg.text for arg in args)})", -1,
+                   name=name, args=args)
+
+
+def translate(
+    statement: str,
+    valid_columns: Dict[str, str],
+) -> Tuple[str, Optional[ir.Select]]:
+    """:func:`translate_tsql` plus the translated statement's IR (None
+    when the text passes through unparsed: no modifier, or NONSEQUENCED)."""
+    modifier, period, select_at = ir.modifier(statement)
+    if not modifier:
+        return statement.strip(), None
+    if modifier == "NONSEQUENCED VALIDTIME":
+        return statement[select_at:].strip(), None
+
+    select = ir.parse(statement)
+    validities = [
+        ir.Node("col", f"{alias}.{valid_columns[table.lower()]}", -1,
+                name=valid_columns[table.lower()], qualifier=alias)
+        for table, alias in _table_pairs(select.from_items)
+        if table.lower() in valid_columns
+    ]
+
+    if modifier == "SNAPSHOT":
+        at = period or "NOW"
+        instant = _call("instant", ir.Node("lit", f"'{at}'", -1, value=at))
+        translated = select.translated(
+            conjuncts=[_call("contains_instant", v, instant) for v in validities])
+        return translated.sql(), translated
+
+    # VALIDTIME (sequenced).
+    if "GROUP BY" in select.clauses or "HAVING" in select.clauses:
+        raise TranslationError(
+            "sequenced (VALIDTIME) aggregation is not expressible in this subset; "
+            "use TIP's group_union/group_intersect aggregates directly",
+            clause=select.tail,
+            offset=select.offsets[1],
+        )
+    if not validities:
+        raise TranslationError(
+            "VALIDTIME requires at least one temporal table in FROM",
+            clause=select.from_list,
+            offset=select.offsets[0],
+        )
+
+    validity = validities[0]
+    for v in validities[1:]:
+        validity = _call("tintersect", validity, v)
+    conjuncts = [
+        _call("overlaps", a, b)
+        for i, a in enumerate(validities)
+        for b in validities[i + 1:]
+    ]
+    if period:
+        window = _call("period", ir.Node("lit", f"'[{period}]'", -1, value=f"[{period}]"))
+        validity = _call("restrict", validity, window)
+        conjuncts.extend(
+            _call("overlaps", v, _call("to_element", window)) for v in validities
+        )
+    translated = select.translated(items=[validity._replace(alias="valid")],
+                                   conjuncts=conjuncts)
+    return translated.sql(), translated
 
 
 def translate_tsql(
@@ -224,86 +164,7 @@ def translate_tsql(
     validity column.  A statement without a modifier passes through
     unchanged.
     """
-    match = _MODIFIER_RE.match(statement)
-    if not match:
-        return statement.strip()
-    if match["nonseq"]:
-        return match["rest"].strip()
-
-    parts = split_select(match["rest"])
-    from_base = statement.find(parts.from_list) if parts.from_list else 0
-    from_items = _parse_from_items(parts.from_list, base=max(from_base, 0))
-    validities = [
-        f"{alias}.{valid_columns[table.lower()]}"
-        for table, alias in from_items
-        if table.lower() in valid_columns
-    ]
-
-    if match["snapshot"]:
-        at = match["at"] or "NOW"
-        conjuncts = [f"contains_instant({v}, instant('{at}'))" for v in validities]
-        return _reassemble(parts, parts.select_list, conjuncts)
-
-    # VALIDTIME (sequenced).
-    if "GROUP BY" in parts.tail.upper() or "HAVING" in parts.tail.upper():
-        raise TranslationError(
-            "sequenced (VALIDTIME) aggregation is not expressible in this subset; "
-            "use TIP's group_union/group_intersect aggregates directly",
-            clause=parts.tail,
-            offset=max(statement.find(parts.tail), 0) if parts.tail else None,
-        )
-    if not validities:
-        raise TranslationError(
-            "VALIDTIME requires at least one temporal table in FROM",
-            clause=parts.from_list,
-            offset=max(from_base, 0),
-        )
-
-    validity_expr = validities[0]
-    for v in validities[1:]:
-        validity_expr = f"tintersect({validity_expr}, {v})"
-    conjuncts = [
-        f"overlaps({a}, {b})"
-        for i, a in enumerate(validities)
-        for b in validities[i + 1:]
-    ]
-    if match["period"]:
-        validity_expr = f"restrict({validity_expr}, period('[{match['period']}]'))"
-        conjuncts.extend(
-            f"overlaps({v}, to_element(period('[{match['period']}]')))" for v in validities
-        )
-    select_list = f"{parts.select_list}, {validity_expr} AS valid"
-    return _reassemble(parts, select_list, conjuncts)
-
-
-def _reassemble(parts: SelectParts, select_list: str, conjuncts: Sequence[str]) -> str:
-    where = parts.where
-    if conjuncts:
-        extra = " AND ".join(conjuncts)
-        where = f"({where}) AND {extra}" if where else extra
-    sql = f"SELECT {select_list} FROM {parts.from_list}"
-    if where:
-        sql += f" WHERE {where}"
-    if parts.tail:
-        sql += f" {parts.tail}"
-    return sql
-
-
-_ELEMENT_COLUMN_RE = re.compile(
-    r"([A-Za-z_][A-Za-z0-9_]*)\s+ELEMENT\b", re.IGNORECASE
-)
-
-_PLANNER = None
-
-
-def _planner():
-    """The temporal planner, imported lazily (it imports this module)."""
-    global _PLANNER
-    if _PLANNER is None:
-        from repro.plan import planner
-
-        _PLANNER = planner
-    return _PLANNER
+    return translate(statement, valid_columns)[0]
 
 
 class TsqlSession:
@@ -381,7 +242,9 @@ class TsqlSession:
         if plan.shape is not None and not parameters:
             # The shape was matched at compile time; statements without
             # one (the vast majority) skip the planner entirely here.
-            result = _planner().maybe_execute_kernel(
+            from repro.plan import planner  # lazy: it pulls in the kernels
+
+            result = planner.maybe_execute_kernel(
                 self._connection, plan.sql, shape=plan.shape
             )
             if result is not None:

@@ -12,6 +12,7 @@ plan invalidation, and the kernel path on the server's reader pool.
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -97,6 +98,134 @@ small_tables = st.lists(
     st.tuples(st.integers(0, 4), elements(max_periods=3)),
     min_size=0, max_size=8,
 )
+
+
+#: The oracle over SQLite's own comparison semantics: declared types of
+#: every affinity, explicit collations, numeric-looking text and NULLs.
+DECLTYPES = ("INTEGER", "TEXT", "REAL", "NUMERIC", "")
+COLLATIONS = ("", "", " COLLATE BINARY", " COLLATE NOCASE", " COLLATE RTRIM")
+typed_keys = st.one_of(
+    st.integers(0, 4),
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.sampled_from(["1", "01", "1.0", " 1", "2", "a", "A", "a ", "b"]),
+    st.none(),
+)
+
+
+@st.composite
+def typed_table_pairs(draw, left_rows=(0, 8), right_rows=(0, 8)):
+    """Two ``(column definition, rows)`` tables whose key columns share
+    a declared type more often than chance, so kernels run too."""
+    left_type = draw(st.sampled_from(DECLTYPES))
+    right_type = draw(st.sampled_from((left_type,) * 3 + DECLTYPES))
+    tables = []
+    for decltype, (low, high) in ((left_type, left_rows), (right_type, right_rows)):
+        column = f"k {decltype}{draw(st.sampled_from(COLLATIONS))}"
+        rows = draw(st.lists(st.tuples(typed_keys, elements(max_periods=3)),
+                             min_size=low, max_size=high))
+        tables.append((column, rows))
+    return tables
+
+
+def _load_typed(connection, tables):
+    for name, (column, rows) in zip(("L", "R"), tables):
+        connection.execute(f"CREATE TABLE {name} ({column}, valid ELEMENT)")
+        connection.executemany(f"INSERT INTO {name} VALUES (?, ?)", rows)
+    connection.commit()
+
+
+def _multiset(rows, elem_at=None):
+    """Rows as a multiset, elements grounded; 1 and 1.0 count as one
+    value, as they do in SQLite.  (Sorting would fail on mixed types.)"""
+    return Counter(
+        tuple(tuple(value.ground_pairs(0)) if at == elem_at and value is not None
+              else value for at, value in enumerate(row))
+        for row in rows
+    )
+
+
+TYPED_JOINS = {
+    "hash": HASH_Q,
+    "merge": MERGE_Q,
+    "windowed": WINDOW_Q,
+    "filtered": HASH_Q + " AND l.k <> '1' AND r.k < 3",
+}
+TYPED_COALESCE = ("SELECT k, length_seconds(group_union(valid)) FROM L "
+                  "WHERE k >= 1 GROUP BY k")
+
+
+class TestTypedDifferential:
+    """Kernel results == naive results under mixed declared types,
+    collations, numeric-looking text and NULL keys: the planner must
+    veto whatever the kernels would compare differently from SQLite."""
+
+    @pytest.mark.parametrize("query", sorted(TYPED_JOINS))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tables=typed_table_pairs())
+    def test_joins(self, forced_planner, query, tables):
+        with repro.connect(now=DEMO_NOW) as connection:
+            _load_typed(connection, tables)
+            naive, kernel = _both_ways(TsqlSession(connection), TYPED_JOINS[query])
+            assert _multiset(naive, 2) == _multiset(kernel, 2)
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tables=typed_table_pairs(left_rows=(1, 2),
+                                    right_rows=(2 * kernels.TREE_SKEW, 24)))
+    def test_skewed_join(self, forced_planner, tables):
+        with repro.connect(now=DEMO_NOW) as connection:
+            _load_typed(connection, tables)
+            naive, kernel = _both_ways(TsqlSession(connection), MERGE_Q)
+            assert _multiset(naive, 2) == _multiset(kernel, 2)
+
+    @pytest.mark.parametrize("query", [COALESCE_Q, TYPED_COALESCE])
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tables=typed_table_pairs())
+    def test_coalesce(self, forced_planner, query, tables):
+        with repro.connect(now=DEMO_NOW) as connection:
+            _load_typed(connection, tables)
+            naive, kernel = _both_ways(TsqlSession(connection), query)
+            assert _multiset(naive) == _multiset(kernel)
+
+
+SPAN = "{[1999-01-01, 1999-06-01]}"
+
+
+@pytest.mark.parametrize("left, right, query, reason, expected", [
+    ("k TEXT", "k INTEGER", HASH_Q, "affinity", 400),
+    ("k TEXT COLLATE NOCASE", "k TEXT", HASH_Q, "collation", 400),
+    ("k INTEGER", "k TEXT", MERGE_Q, "affinity", 400 * 399 // 2),
+], ids=["text=integer", "nocase=text", "integer<text"])
+def test_mixed_affinity_and_collation_keys_veto_the_kernel(
+    forced_planner, left, right, query, reason, expected
+):
+    """The three wrong-answer cases at 400 rows per side: SQLite converts
+    the TEXT side to a number (numeric affinity) or folds case (the left
+    column's NOCASE) before comparing, so the planner must leave them on
+    the naive path."""
+    def keys(column):
+        if "NOCASE" in left:
+            return [f"{'KEY' if 'NOCASE' in column else 'key'}{at}" for at in range(400)]
+        return [at if "INTEGER" in column else str(at) for at in range(400)]
+
+    with repro.connect(now=DEMO_NOW) as connection:
+        _load_typed(connection, [
+            (column, [(key, E(SPAN)) for key in keys(column)])
+            for column in (left, right)
+        ])
+        session = TsqlSession(connection)
+        with obs.capture():
+            naive, kernel = _both_ways(session, query)
+            counters = obs.snapshot()["counters"]
+        assert counters.get(f"plan.fallback.{reason}") == 1
+        assert "plan.kernel.join" not in counters
+        assert len(naive) == expected
+        assert _multiset(naive, 2) == _multiset(kernel, 2)
+        description = plan.describe(connection, session.translate(query))
+        assert description["strategy"] == "naive"
+        assert reason in description["reason"]
 
 
 class TestDifferential:
@@ -269,27 +398,23 @@ class TestPlannerDecisions:
     def test_generation_bump_invalidates_cached_plans(
         self, conn, forced_planner
     ):
-        """DDL bumps the statement generation; shape plans keyed on it
-        must re-match instead of serving the stale entry."""
+        """Shapes live on generation-keyed compiled statements: DDL bumps
+        the generation, and the recompiled statement carries the new
+        generation and a re-matched shape instead of the stale plan."""
         _load(conn, "L", [(1, E("{[1999-01-01, 1999-06-01]}"))])
         _load(conn, "R", [(1, E("{[1999-03-01, 1999-09-01]}"))])
         session = TsqlSession(conn)
-        translated = session.translate(HASH_Q)
-        plan.clear_caches()
-        with obs.capture():
-            plan.maybe_execute_kernel(conn, translated)
-            plan.maybe_execute_kernel(conn, translated)
-            first = dict(obs.snapshot()["counters"])
-            generation_before = stmt_cache.generation()
-            # DDL adding a temporal table: the session rescan bumps the
-            # process-wide generation, orphaning every cached plan.
-            session.query("CREATE TABLE bump (n INTEGER, valid ELEMENT)")
-            assert stmt_cache.generation() > generation_before
-            plan.maybe_execute_kernel(conn, translated)
-            second = obs.snapshot()["counters"]
-        assert first.get("plan.cache.miss") == 1
-        assert first.get("plan.cache.hit") == 1
-        assert second.get("plan.cache.miss") == 2
+        before = session.compile(HASH_Q)
+        assert before.shape is not None
+        assert session.compile(HASH_Q) is before  # a statement-cache hit
+        # DDL adding a temporal table: the session rescan bumps the
+        # process-wide generation, orphaning every cached plan.
+        session.query("CREATE TABLE bump (n INTEGER, valid ELEMENT)")
+        after = session.compile(HASH_Q)
+        assert after.generation == stmt_cache.generation() > before.generation
+        assert after.shape == before.shape
+        assert after.shape is not before.shape  # matched again
+        assert len(session.query(HASH_Q)) == 1
 
 
 class TestObservability:

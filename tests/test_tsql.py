@@ -8,6 +8,7 @@ from repro.core.chronon import Chronon
 from repro.core.element import Element
 from repro.errors import TranslationError
 from repro.tsql import TsqlSession, translate_tsql
+from repro.tsql import compiled
 from repro.tsql.preprocessor import split_select
 from tests.conftest import C, E
 
@@ -136,6 +137,32 @@ class TestValidtime:
                 "VALIDTIME SELECT patient FROM Prescription GROUP BY patient"
             )
 
+    @pytest.mark.parametrize("cache", [True, False], ids=["cache-on", "cache-off"])
+    @pytest.mark.parametrize("group_by", [
+        "GROUP\nBY patient",
+        "GROUP  BY patient",
+        "GROUP BY patient -- per patient",
+        "GROUP\nBY patient -- per patient",
+        "GROUP /* sequenced? */ BY patient",
+    ], ids=["newline", "double-space", "comment", "newline-comment", "inline-comment"])
+    def test_group_by_rejected_across_any_whitespace(self, session, cache, group_by):
+        """Sequenced aggregation is rejected however GROUP BY is spaced,
+        whether or not the statement is normalized by the cache."""
+        statement = (
+            "VALIDTIME SELECT patient FROM Prescription WHERE dosage = 1 "
+            + group_by
+        )
+        enabled = compiled.state.enabled
+        compiled.configure(enabled=cache)
+        try:
+            with pytest.raises(TranslationError) as info:
+                session.translate(statement)
+            assert info.value.clause.startswith("GROUP")
+            with pytest.raises(TranslationError):
+                session.query(statement)
+        finally:
+            compiled.configure(enabled=enabled)
+
     def test_requires_a_temporal_table(self, session):
         session._connection.execute("CREATE TABLE plain (x INTEGER)")
         with pytest.raises(TranslationError):
@@ -262,6 +289,13 @@ class TestTranslationErrorMetadata:
             )
         assert info.value.clause is not None
         assert "GROUP BY" in info.value.clause
+
+    def test_group_by_offset_points_into_the_statement(self):
+        statement = "VALIDTIME SELECT a FROM t WHERE a = 1 GROUP\n BY a -- c"
+        with pytest.raises(TranslationError) as info:
+            translate_tsql(statement, {"t": "vt"})
+        assert info.value.clause == "GROUP\n BY a"
+        assert statement[info.value.offset:].startswith(info.value.clause)
 
     def test_validtime_without_temporal_table_reports_from_list(self):
         with pytest.raises(TranslationError) as info:
