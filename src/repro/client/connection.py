@@ -311,17 +311,20 @@ class TipCursor:
         finally:
             reset_now(token)
 
-    def fetchall(self) -> List[Tuple]:
+    def fetchall(self, raw_tail: int = 0) -> List[Tuple]:
+        """All remaining rows, type-mapped except the last *raw_tail*
+        columns (see :meth:`TypeMap.map_rows`)."""
         if self.profile is not None:
-            return self._fetch_profiled(lambda: self._raw.fetchall())
+            return self._fetch_profiled(lambda: self._raw.fetchall(), raw_tail=raw_tail)
         token = bind_now_seconds(self._stmt_now)
         try:
             rows = self._raw.fetchall()
-            return self._connection.type_map.map_rows(rows, self._decltypes())
+            return self._connection.type_map.map_rows(rows, self._decltypes(),
+                                                      raw_tail=raw_tail)
         finally:
             reset_now(token)
 
-    def _fetch_profiled(self, fetch, one: bool = False):
+    def _fetch_profiled(self, fetch, one: bool = False, raw_tail: int = 0):
         """A fetch that charges its time and rows to the open profile."""
         from time import perf_counter
 
@@ -331,7 +334,8 @@ class TipCursor:
             if one:
                 mapped = self._connection.type_map.map_row(fetched, self._decltypes())
             else:
-                mapped = self._connection.type_map.map_rows(fetched, self._decltypes())
+                mapped = self._connection.type_map.map_rows(
+                    fetched, self._decltypes(), raw_tail=raw_tail)
         self.profile.fetch_seconds += perf_counter() - started
         if one:
             self.profile.rows += 1 if mapped is not None else 0

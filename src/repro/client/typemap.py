@@ -69,8 +69,19 @@ class TypeMap:
         self,
         rows: Sequence[Sequence],
         decltypes: Optional[Sequence[Optional[str]]] = None,
+        *,
+        raw_tail: int = 0,
     ) -> List[Tuple]:
-        """Convert a list of result rows."""
+        """Convert a list of result rows.
+
+        The last *raw_tail* columns of every row pass through as fetched
+        (the set-based kernels ground validity blobs themselves).
+        """
+        if raw_tail:
+            cut = -raw_tail
+            heads = self.map_rows([row[:cut] for row in rows],
+                                  None if decltypes is None else decltypes[:cut])
+            return [head + tuple(row[cut:]) for head, row in zip(heads, rows)]
         if decltypes is None:
             # Without decltypes, map_value only ever transforms
             # bytes-like values (TIP blob detection); rows of plain

@@ -35,7 +35,7 @@ work directly on stored TIP columns.
 from __future__ import annotations
 
 import struct
-from typing import Type, Union
+from typing import List, Optional, Sequence, Tuple, Type, Union
 
 from repro.codec import cache as _CACHE
 from repro.core import granularity
@@ -45,7 +45,7 @@ from repro.core.element import Element
 from repro.core.instant import Instant
 from repro.core.period import Period
 from repro.core.span import Span
-from repro.errors import CodecError
+from repro.errors import CodecError, TipTypeError
 from repro.faults import state as _FAULTS
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
     "VERSION",
     "encode",
     "decode",
+    "ground_elements",
     "is_tip_blob",
     "tip_type_of",
     "TAG_BY_TYPE",
@@ -226,10 +227,11 @@ def _decode_bytes(data: bytes, *, stamp: bool) -> TipValue:
 
     With *stamp* true, the input blob is recorded as the value's
     canonical encoding for every type whose codec is bijective —
-    Chronon, Span, Instant, Period.  Element blobs are *not* stamped:
-    the Element constructor normalizes (sorts/coalesces) its periods,
-    so a hand-crafted non-canonical blob decodes to a value whose
-    canonical encoding differs from the input.
+    Chronon, Span, Instant, Period.  Element blobs are stamped only when
+    :func:`_canonical_pairs` verifies them canonical: the Element
+    constructor normalizes (sorts/coalesces) its periods, so a
+    hand-crafted non-canonical blob decodes to a value whose canonical
+    encoding differs from the input.
     """
     if len(data) < 3:
         raise CodecError("blob too short for a TIP header")
@@ -257,16 +259,18 @@ def _decode_bytes(data: bytes, *, stamp: bool) -> TipValue:
         except struct.error as exc:
             raise CodecError("truncated element count") from exc
         offset = body + _U32.size
-        value = _decode_element_fast(data, offset, count, stamp=stamp)
-        if value is not None:
-            return value
-        periods = []
-        for _ in range(count):
-            start, offset = _decode_instant_body(data, offset)
-            end_instant, offset = _decode_instant_body(data, offset)
-            periods.append(_build_period(start, end_instant))
-        _check_consumed(data, offset)
-        return Element(periods)  # normalized, so never blob-stamped here
+        pairs = _canonical_pairs(data, offset, count)
+        if pairs is None:
+            periods = []
+            for _ in range(count):
+                start, offset = _decode_instant_body(data, offset)
+                end_instant, offset = _decode_instant_body(data, offset)
+                periods.append(_build_period(start, end_instant))
+            _check_consumed(data, offset)
+            return Element(periods)  # normalized, so never blob-stamped here
+        # Verified canonical: encoding the element reproduces the blob
+        # byte-for-byte, so the stamp below is safe.
+        value = Element._from_canonical_pairs(pairs)
     else:
         raise CodecError(f"unknown type tag 0x{tag:02x}")
     if stamp:
@@ -274,26 +278,18 @@ def _decode_bytes(data: bytes, *, stamp: bool) -> TipValue:
     return value
 
 
-def _decode_element_fast(data: bytes, offset: int, count: int,
-                         *, stamp: bool):
-    """One-shot decode of a canonical all-determinate element blob.
+def _canonical_pairs(data: bytes, offset: int, count: int):
+    """The pairs of a canonical all-determinate element payload, or None.
 
     Unpacks every instant body in a single struct call and validates
-    the pairs inline.  Returns None for anything else — NOW-relative
-    flavors, out-of-calendar bounds, inverted or non-canonical pair
-    lists, short payloads — which the per-period object path then
-    handles (normalizing or raising) exactly as before.  A blob taken
-    here is *verified* canonical, so encoding the element reproduces
-    it byte-for-byte and stamping is safe (unlike the general path).
+    the pairs inline.  None means anything else — NOW-relative flavors,
+    out-of-calendar bounds, inverted or non-canonical pair lists, short
+    payloads or trailing bytes — which the per-period object path of
+    :func:`decode` then handles (normalizing or raising).
     """
-    if count * 2 * _INSTANT.size > len(data) - offset:
-        return None  # short payload: let the slow path pinpoint it
-    try:
-        fields = struct.unpack_from(">" + "BQ" * (2 * count), data, offset)
-    except struct.error:  # pragma: no cover - length checked above
-        return None
     if len(data) != offset + count * 2 * _INSTANT.size:
-        return None  # trailing bytes: slow path raises
+        return None
+    fields = struct.unpack_from(">" + "BQ" * (2 * count), data, offset)
     lo_bound, hi_bound = granularity.MIN_SECONDS, granularity.MAX_SECONDS
     pairs = []
     prev_hi = None
@@ -308,10 +304,45 @@ def _decode_element_fast(data: bytes, offset: int, count: int,
             return None  # out of order, overlapping, or adjacent
         prev_hi = hi
         pairs.append((lo, hi))
-    element = Element._from_canonical_pairs(pairs)
-    if stamp:
-        element._tip_blob = data
-    return element
+    return pairs
+
+
+_ELEMENT_HEADER = bytes((MAGIC, VERSION, _TAG_ELEMENT))
+
+
+def ground_elements(blobs: Sequence[Optional[bytes]], now_seconds: int
+                    ) -> Tuple[List[Optional[List[Tuple[int, int]]]], int]:
+    """``decode(blob).ground_pairs(now_seconds)`` for every element blob
+    (None for NULL), plus how many blobs took :func:`decode`.
+
+    The set-based kernels' one-pass grounding: a canonical
+    all-determinate blob is read straight into its pairs, with no
+    Element and no decode-cache traffic, so a bulk scan neither pays
+    the per-value marshalling nor evicts other statements' cached
+    values.  Anything else goes through :func:`decode` blob by blob, so
+    results and :class:`CodecError` raises are exactly the decoder's — and
+    while a fault plan is armed every blob does, so ``codec.decode``
+    faults fire as they would on the naive path.
+    """
+    fast = _FAULTS.plan is None
+    grounded: List[Optional[List[Tuple[int, int]]]] = []
+    append = grounded.append
+    slow = 0
+    for blob in blobs:
+        if blob is None:
+            append(None)
+            continue
+        pairs = None
+        if fast and blob[:3] == _ELEMENT_HEADER and len(blob) >= 7:
+            pairs = _canonical_pairs(blob, 7, _U32.unpack_from(blob, 3)[0])
+        if pairs is None:
+            slow += 1
+            value = decode(blob)
+            if not isinstance(value, Element):
+                raise TipTypeError(f"expected Element, got {type(value).__name__}")
+            pairs = value.ground_pairs(now_seconds)
+        append(pairs)
+    return grounded, slow
 
 
 def _build(tip_type: Type[TipValue], seconds: int) -> TipValue:

@@ -20,12 +20,18 @@ algorithms:
     Coalesce: one pass that groups rows, pools their periods, and
     normalizes each group once (exactly ``GroupUnion``'s cost model).
 
-Every kernel grounds elements at one statement ``NOW`` and produces
-rows value-identical to the naive path — the differential suite
-(``tests/test_plan_kernels.py``) holds them equal as multisets.
-Residual comparisons go through :func:`sql_compare`, which mirrors
-SQLite's storage-class semantics (NULL never matches; numeric < text <
-blob across classes; ``1 = 1.0``).
+Each kernel fetches only what it needs: single-side literal filters
+(``e1.label = 'cites'``, a coalesce's ``WHERE``) run in the fetch SQL
+with bound parameters, and the validity column comes back as its
+unconverted blob, grounded in one pass by
+:func:`repro.codec.binary.ground_elements` without touching the decode
+cache.  Every kernel grounds elements at one statement ``NOW`` and
+produces rows value-identical to the naive path — the differential
+suite (``tests/test_plan_kernels.py``) holds them equal as multisets.
+Only cross-side residuals are compared in Python, through
+:func:`sql_compare`, which mirrors SQLite's storage-class semantics
+(NULL never matches; numeric < text < blob across classes;
+``1 = 1.0``).
 """
 
 from __future__ import annotations
@@ -40,9 +46,9 @@ try:  # the hash strategy emits through numpy when it is available
 except ImportError:  # pragma: no cover - baked into the toolchain image
     _np = None
 
+from repro.codec.binary import ground_elements
 from repro.core import interval_algebra as ia
 from repro.core.element import Element
-from repro.errors import TipTypeError
 from repro.index.interval_tree import IntervalTree
 
 __all__ = [
@@ -181,41 +187,69 @@ def sql_compare(left: object, op: str, right: object) -> bool:
     return left >= right
 
 
-def _evaluate(condition: Condition, resolve) -> bool:
-    """*resolve(operand)* supplies column values; literals pass through."""
-    left = condition.left.value if condition.left.kind == "lit" \
-        else resolve(condition.left)
-    right = condition.right.value if condition.right.kind == "lit" \
-        else resolve(condition.right)
-    return sql_compare(left, condition.op, right)
-
-
 # -- side preparation ---------------------------------------------------
+
+
+def _int64(value: object) -> object:
+    """A literal as SQLite parsed it: integers past 64 bits are REAL."""
+    return float(value) if isinstance(value, int) \
+        and not -(1 << 63) <= value < 1 << 63 else value
+
+
+def _fetch(connection, table: str, columns: List[str], valid: str,
+           filters: Sequence[Condition], now_seconds: int):
+    """``(rows, grounded, slow_decodes)``: *columns* of the rows passing
+    *filters* with *valid*'s unconverted blob appended, that blob's
+    grounded pairs per row, and how many blobs took ``codec.decode``.
+
+    Single-side filters run in SQLite with their literals bound: the
+    planner's affinity and collation vetoes already make SQLite's
+    comparison the kernels' one.  The other columns come back exactly
+    as :meth:`~repro.client.connection.TipConnection.query` maps them.
+    """
+    terms, params = [], []
+    for condition in filters:
+        sides = []
+        for operand in (condition.left, condition.right):
+            if operand.kind == "col":
+                sides.append(operand.column)
+            else:
+                sides.append("?")
+                params.append(_int64(operand.value))
+        terms.append(f"{sides[0]} {condition.op} {sides[1]}")
+    where = f" WHERE {' AND '.join(terms)}" if terms else ""
+    select = ", ".join(columns + [f"CAST({valid} AS BLOB)"])
+    rows = connection.execute(
+        f"SELECT {select} FROM {table}{where}", params
+    ).fetchall(raw_tail=1)
+    return (rows,) + ground_elements([row[-1] for row in rows], now_seconds)
 
 
 class _Side:
     """One fetched, filtered, grounded join input."""
 
-    __slots__ = ("rows", "pairs", "positions")
+    __slots__ = ("rows", "pairs", "positions", "fetched", "slow_decodes")
 
     def __init__(self, rows: List[Tuple], pairs: List[List[Pair]],
-                 positions: Dict[str, int]) -> None:
+                 positions: Dict[str, int], fetched: int,
+                 slow_decodes: int) -> None:
         self.rows = rows            # surviving rows, fetch order
         self.pairs = pairs          # grounded validity pairs per row
         self.positions = positions  # column name -> tuple position
+        self.fetched = fetched      # rows the fetch returned
+        self.slow_decodes = slow_decodes  # blobs grounded via codec.decode
 
 
-def _columns_for_side(shape: JoinShape, alias: str, valid: str) -> List[str]:
-    needed = {valid}
+def _columns_for_side(shape: JoinShape, alias: str) -> List[str]:
+    """The columns a side's rows carry: outputs, keys and residuals
+    (filters run in the fetch; the validity blob is appended)."""
+    needed = set()
     for output in shape.outputs:
         if output.alias == alias:
             needed.add(output.column)
     for left_col, right_col in shape.equalities:
         needed.add(left_col if alias == shape.left_alias else right_col)
-    conditions = list(shape.cross)
-    conditions += shape.left_filters if alias == shape.left_alias \
-        else shape.right_filters
-    for condition in conditions:
+    for condition in shape.cross:
         for operand in (condition.left, condition.right):
             if operand.kind == "col" and operand.alias == alias:
                 needed.add(operand.column)
@@ -225,41 +259,21 @@ def _columns_for_side(shape: JoinShape, alias: str, valid: str) -> List[str]:
 def _prepare_side(connection, table: str, columns: List[str], valid: str,
                   filters: Sequence[Condition], now_seconds: int,
                   window_pair: Optional[Pair]) -> _Side:
-    positions = {name: at for at, name in enumerate(columns)}
-    fetched = connection.query(
-        f"SELECT {', '.join(columns)} FROM {table}"
-    )
-    valid_at = positions[valid]
+    fetched, grounded, slow_decodes = _fetch(connection, table, columns,
+                                             valid, filters, now_seconds)
     rows: List[Tuple] = []
     pairs: List[List[Pair]] = []
-    for row in fetched:
-        keep = True
-        for condition in filters:
-            if not _evaluate(
-                condition, lambda op: row[positions[op.column]]
-            ):
-                keep = False
-                break
-        if not keep:
-            continue
-        element = row[valid_at]
-        if element is None:
-            continue  # overlaps(NULL, x) is NULL: the row never joins
-        if not isinstance(element, Element):
-            raise TipTypeError(
-                f"expected Element in {table}.{valid}, "
-                f"got {type(element).__name__}"
-            )
-        grounded = element.ground_pairs(now_seconds)
-        if not grounded:
-            continue  # an empty element overlaps nothing
+    for row, row_pairs in zip(fetched, grounded):
+        if not row_pairs:
+            continue  # NULL never joins; an empty element overlaps nothing
         if window_pair is not None and not ia.intersect(
-            grounded, [window_pair]
+            row_pairs, [window_pair]
         ):
             continue  # VALIDTIME PERIOD prefilter (full element kept)
         rows.append(row)
-        pairs.append(grounded)
-    return _Side(rows, pairs, positions)
+        pairs.append(row_pairs)
+    positions = {name: at for at, name in enumerate(columns)}
+    return _Side(rows, pairs, positions, len(fetched), slow_decodes)
 
 
 # -- candidate generation ----------------------------------------------
@@ -479,16 +493,15 @@ def execute_join(connection, shape: JoinShape,
         if window_pair is None:
             # The window itself is empty: nothing can overlap it.
             return KernelResult([], _join_columns(shape), "empty-window",
-                                now_seconds, {"candidates": 0})
-    left_columns = _columns_for_side(shape, shape.left_alias,
-                                     shape.left_valid)
-    right_columns = _columns_for_side(shape, shape.right_alias,
-                                      shape.right_valid)
+                                now_seconds, {"candidates": 0, "fetched_rows": 0,
+                                              "slow_decodes": 0})
+    left_columns = _columns_for_side(shape, shape.left_alias)
+    right_columns = _columns_for_side(shape, shape.right_alias)
     if (shape.left_table == shape.right_table
             and shape.left_valid == shape.right_valid
             and not shape.left_filters and not shape.right_filters):
         # Unfiltered self-join (the temporal-graph path query): fetch
-        # and decode the table once, share it between both sides.
+        # and ground the table once, share it between both sides.
         shared_columns = sorted(set(left_columns) | set(right_columns))
         left = right = _prepare_side(
             connection, shape.left_table, shared_columns,
@@ -540,16 +553,21 @@ def execute_join(connection, shape: JoinShape,
         positions = left.positions if side == 0 else right.positions
         slots.append((side, positions[output.column]))
 
-    cross = shape.cross
+    sides = (left,) if right is left else (left, right)
+    stats = {"candidates": n_candidates,
+             "left_rows": len(left.rows), "right_rows": len(right.rows),
+             "fetched_rows": sum(side.fetched for side in sides),
+             "slow_decodes": sum(side.slow_decodes for side in sides)}
+    # match() puts a cross condition's left-table column first.
+    cross = [(left.positions[condition.left.column], condition.op,
+              right.positions[condition.right.column])
+             for condition in shape.cross]
     build_row = _row_builder(slots)
     if strategy == "hash" and not cross and _np is not None:
         rows = _vector_emit(left, right, i_list, j_list, window_pair,
                             build_row)
-        return KernelResult(
-            rows, _join_columns(shape), strategy, now_seconds,
-            {"candidates": n_candidates,
-             "left_rows": len(left.rows), "right_rows": len(right.rows)},
-        )
+        return KernelResult(rows, _join_columns(shape), strategy,
+                            now_seconds, stats)
     rows: List[Tuple] = []
     # Identical intersections share one immutable Element — under a
     # common rush window most candidate pairs intersect to the same few
@@ -561,20 +579,9 @@ def execute_join(connection, shape: JoinShape,
     for i, j in pair_iter:
         left_row = left_rows[i]
         right_row = right_rows[j]
-        if cross:
-            ok = True
-            for condition in cross:
-                # match() normalized cross conditions left-operand-first
-                def resolve(op, _l=left_row, _r=right_row):
-                    side_row = _l if op.alias == shape.left_alias else _r
-                    positions = left.positions \
-                        if op.alias == shape.left_alias else right.positions
-                    return side_row[positions[op.column]]
-                if not _evaluate(condition, resolve):
-                    ok = False
-                    break
-            if not ok:
-                continue
+        if cross and not all(sql_compare(left_row[at], op, right_row[other])
+                             for at, op, other in cross):
+            continue
         a, b = left_pairs[i], right_pairs[j]
         if len(a) == 1 and len(b) == 1:
             (a_lo, a_hi), (b_lo, b_hi) = a[0], b[0]
@@ -596,11 +603,8 @@ def execute_join(connection, shape: JoinShape,
             element = elements[shared] = \
                 Element._from_canonical_pairs(shared)
         rows.append(build_row(left_row, right_row, element))
-    return KernelResult(
-        rows, _join_columns(shape), strategy, now_seconds,
-        {"candidates": n_candidates,
-         "left_rows": len(left.rows), "right_rows": len(right.rows)},
-    )
+    return KernelResult(rows, _join_columns(shape), strategy, now_seconds,
+                        stats)
 
 
 def _join_columns(shape: JoinShape) -> List[str]:
@@ -626,47 +630,25 @@ def _order_key(value: object):
 
 def execute_coalesce(connection, shape: CoalesceShape,
                      now_seconds: int) -> KernelResult:
-    needed = set(shape.group_by) | {shape.agg_column}
-    for condition in shape.filters:
-        for operand in (condition.left, condition.right):
-            if operand.kind == "col":
-                needed.add(operand.column)
-    columns = sorted(needed)
+    columns = sorted(set(shape.group_by))
     positions = {name: at for at, name in enumerate(columns)}
-    fetched = connection.query(
-        f"SELECT {', '.join(columns)} FROM {shape.table}"
-    )
+    fetched, grounded, slow_decodes = _fetch(
+        connection, shape.table, columns, shape.agg_column, shape.filters,
+        now_seconds)
 
     group_positions = [positions[col] for col in shape.group_by]
-    agg_position = positions[shape.agg_column]
     # A group's key hashes 1 and 1.0 together (dict semantics == SQLite
     # GROUP BY) and keeps NULLs in one group, also like SQLite.
     groups: Dict[Tuple, List[Pair]] = {}
     representative: Dict[Tuple, Tuple] = {}
-    for row in fetched:
-        keep = True
-        for condition in shape.filters:
-            if not _evaluate(
-                condition, lambda op: row[positions[op.column]]
-            ):
-                keep = False
-                break
-        if not keep:
-            continue
+    for row, row_pairs in zip(fetched, grounded):
         key = tuple(row[at] for at in group_positions)
         pool = groups.get(key)
         if pool is None:
             pool = groups[key] = []
             representative[key] = row
-        value = row[agg_position]
-        if value is None:
-            continue  # aggregates ignore NULL, the group still exists
-        if not isinstance(value, Element):
-            raise TipTypeError(
-                f"group_union expects Elements, "
-                f"got {type(value).__name__}"
-            )
-        pool.extend(value.ground_pairs(now_seconds))
+        if row_pairs:  # aggregates ignore NULL, the group still exists
+            pool.extend(row_pairs)
 
     slots = [positions[output.column] for output in shape.outputs]
     rows: List[Tuple] = []
@@ -692,5 +674,6 @@ def execute_coalesce(connection, shape: CoalesceShape,
     columns_out.insert(shape.agg_at, shape.agg_name)
     return KernelResult(
         rows, columns_out, "sweep", now_seconds,
-        {"groups": len(groups), "input_rows": len(fetched)},
+        {"groups": len(groups), "fetched_rows": len(fetched),
+         "slow_decodes": slow_decodes},
     )

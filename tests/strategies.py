@@ -7,8 +7,11 @@ keeps set-algebra properties exact.
 
 from __future__ import annotations
 
+import struct
+
 from hypothesis import strategies as st
 
+from repro.codec import binary
 from repro.core import interval_algebra as ia
 from repro.core.chronon import Chronon
 from repro.core.element import Element
@@ -106,6 +109,40 @@ def canonical_elements(draw, coords=wide_seconds, max_size=32):
     the work-per-input properties need for sharp operand sizes.
     """
     return Element.from_pairs(draw(canonical_pairs(coords, max_size)))
+
+
+def element_blob(pairs) -> bytes:
+    """An ``ELEMENT`` blob holding *pairs* verbatim, in the given order:
+    the encoder would normalize them, this writes what a foreign or
+    older writer may have stored (unsorted, overlapping, adjacent)."""
+    body = b"".join(struct.pack(">BQBQ", 0, lo + binary._BIAS_SECONDS,
+                                0, hi + binary._BIAS_SECONDS) for lo, hi in pairs)
+    return bytes((binary.MAGIC, binary.VERSION, 0x05)) \
+        + struct.pack(">I", len(pairs)) + body
+
+
+@st.composite
+def element_blobs(draw):
+    """What an ``ELEMENT`` column may hold: NULL, canonical determinate,
+    NOW-relative and empty elements, non-canonical pair lists, and
+    truncated, bad-magic or trailing-garbage bytes."""
+    kind = draw(st.sampled_from(("null", "canonical", "now", "empty",
+                                 "raw", "truncated", "magic", "trailing")))
+    if kind == "null":
+        return None
+    if kind == "empty":
+        return binary.encode(Element.empty())
+    if kind == "raw":
+        return element_blob(draw(pairs_lists(coords=safe_seconds, max_size=5)))
+    blob = binary.encode(draw(elements(max_periods=4) if kind == "now"
+                              else determinate_elements(max_periods=4)))
+    if kind == "truncated":
+        return blob[:draw(st.integers(0, len(blob) - 1))]
+    if kind == "magic":
+        return bytes([draw(st.integers(0, 255).filter(lambda b: b != blob[0]))]) + blob[1:]
+    if kind == "trailing":
+        return blob + draw(st.binary(min_size=1, max_size=9))
+    return blob
 
 
 def brute_set(pairs) -> set:

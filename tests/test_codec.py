@@ -3,19 +3,23 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import codec
-from repro.codec.binary import MAGIC, VERSION
+from repro import codec, faults
+from repro.codec.binary import MAGIC, VERSION, ground_elements
 from repro.core.chronon import Chronon
 from repro.core.element import Element
 from repro.core.instant import NOW, Instant
 from repro.core.nowctx import use_now
 from repro.core.period import Period
 from repro.core.span import Span
-from repro.errors import CodecError
-from tests.conftest import C, E, S
-from tests.strategies import chronons, determinate_periods, elements, instants, spans
+from repro.errors import CodecError, TipTypeError
+from tests.conftest import C, E, S, sec
+from tests.strategies import (
+    chronons, determinate_periods, element_blob, element_blobs, elements, instants,
+    safe_seconds, spans,
+)
 
 
 class TestRoundTrips:
@@ -228,3 +232,61 @@ class TestElementBlobPaths:
         assert truncated[3:7] == struct.pack(">I", 2)
         with pytest.raises(CodecError):
             codec.decode(truncated)
+
+
+class TestGroundElements:
+    """The kernels' one-pass grounding equals decoding each blob and
+    grounding it, error for error; only canonical determinate blobs
+    skip :func:`codec.decode` and its cache."""
+
+    @staticmethod
+    def _reference(blobs, now):
+        """``decode(b).ground_pairs(now)`` per blob, or the first error."""
+        grounded = []
+        for blob in blobs:
+            if blob is None:
+                grounded.append(None)
+                continue
+            try:
+                grounded.append(codec.decode(blob).ground_pairs(now))
+            except CodecError as exc:
+                return type(exc)
+        return grounded
+
+    @settings(max_examples=300)
+    @given(blobs=st.lists(element_blobs(), max_size=8), now=safe_seconds)
+    def test_equals_decode_then_ground(self, blobs, now):
+        expected = self._reference(blobs, now)
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                ground_elements(blobs, now)
+        else:
+            assert ground_elements(blobs, now)[0] == expected
+
+    def test_canonical_blobs_bypass_the_decode_cache(self):
+        from repro.codec import cache as marshal_cache
+
+        blobs = [codec.encode(Element.from_pairs([(0, 10), (20, 30)])), None,
+                 codec.encode(E("{[1999-10-01, NOW]}")),
+                 element_blob([(20, 30), (0, 10)])]
+        marshal_cache.clear_caches(reset_stats=True)
+        grounded, slow = ground_elements(blobs, sec("2000-01-01"))
+        assert grounded == [[(0, 10), (20, 30)], None,
+                            [(sec("1999-10-01"), sec("2000-01-01"))],
+                            [(0, 10), (20, 30)]]
+        assert slow == 2  # the NOW-relative and the unsorted blob
+        decoded = 2 if marshal_cache.state.enabled else 0
+        assert marshal_cache.stats()["decode"]["misses"] == decoded
+
+    def test_armed_fault_plan_decodes_every_blob(self):
+        blobs = [codec.encode(Element.from_pairs([(0, 10)])), None,
+                 codec.encode(Element.empty())]
+        with faults.inject("codec.decode:delay:delay=0", seed=1):
+            assert ground_elements(blobs, 0) == ([[(0, 10)], None, []], 2)
+        with faults.inject("codec.decode:truncate", seed=1):
+            with pytest.raises(CodecError):
+                ground_elements(blobs, 0)
+
+    def test_non_element_value_is_a_type_error(self):
+        with pytest.raises(TipTypeError):
+            ground_elements([codec.encode(C("1999-09-01"))], 0)

@@ -134,14 +134,17 @@ def _run_remote_cell(point: str, mode: str) -> str:
         return outcome
 
 
-def _run_local_cell(point: str, mode: str) -> str:
+def _run_local_cell(point: str, mode: str, spec: str = "",
+                    statement: str = _KERNEL) -> str:
+    """One local cell; *spec* overrides the single-rule plan and
+    *statement* the query of the plan.kernel cells."""
     connection = repro.connect()
     min_rows_before = plan.state.min_rows
     try:
         # Built before arming: stmt.cache fires per compile, and the
         # session's construction-time rescan must not consume the hit.
         session = TsqlSession(connection) if point == "stmt.cache" else None
-        statement = _PLAIN
+        kernel_statement, statement = statement, _PLAIN
         if point == "plan.kernel":
             connection.execute(
                 "CREATE TABLE chaos_edges (n INTEGER, valid ELEMENT)"
@@ -153,8 +156,8 @@ def _run_local_cell(point: str, mode: str) -> str:
             connection.commit()
             session = TsqlSession(connection)
             plan.configure(min_rows=0)  # 4 rows must still take the kernel
-            statement = _KERNEL
-        with faults.inject(_spec(point, mode), seed=SEED):
+            statement = kernel_statement
+        with faults.inject(spec or _spec(point, mode), seed=SEED):
             try:
                 if session is not None:
                     session.query(statement)
@@ -230,6 +233,21 @@ def test_chaos_cell(point, mode, tmp_path):
     # Determinism: the same seeded plan replays to the same outcome.
     second = run("second")
     assert second == first, f"{point}:{mode} not replayable: {first} vs {second}"
+
+
+def test_kernel_grounding_fires_codec_faults():
+    """A plan aimed at plan.kernel lets the kernel run, and its validity
+    grounding must then decode every blob through codec.decode: the
+    truncated blob fails the statement with the typed CodecError that
+    the naive decode of the same column raises, instead of slipping
+    past the canonical-blob fast path.  Replayable like every cell."""
+    spec = _spec("plan.kernel", "delay") + ";codec.decode:truncate"
+    naive = _run_local_cell("plan.kernel", "delay", spec,
+                            statement="SELECT n, valid FROM chaos_edges")
+    assert naive == "local_error:CodecError"
+    first = _run_local_cell("plan.kernel", "delay", spec)
+    assert first == naive
+    assert _run_local_cell("plan.kernel", "delay", spec) == first
 
 
 def test_matrix_covers_the_whole_catalogue():

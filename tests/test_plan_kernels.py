@@ -29,8 +29,8 @@ from repro.server import RemoteTipConnection, TipServer
 from repro.tsql import TsqlSession
 from repro.tsql import compiled as stmt_cache
 from repro.tsql.explain import explain_temporal
-from tests.conftest import DEMO_NOW, E
-from tests.strategies import chronons, elements
+from tests.conftest import DEMO_NOW, E, sec
+from tests.strategies import chronons, element_blob, elements
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -301,6 +301,7 @@ class TestDifferential:
     ):
         """The numpy hash emit and the scalar loop agree row-for-row —
         same rows, same order — so vectorization is pure mechanism."""
+        pytest.importorskip("numpy")
         with repro.connect(now=DEMO_NOW) as connection:
             _load(connection, "L", left)
             _load(connection, "R", right)
@@ -348,6 +349,146 @@ class TestDifferential:
             )
             assert result.strategy == "empty-window"
             assert result.rows == []
+
+
+def _ground_all(rows):
+    """Rows as a multiset with every Element grounded (at 0, on both
+    sides alike), for results carrying more than one element column."""
+    return Counter(
+        tuple(tuple(value.ground_pairs(0)) if isinstance(value, Element) else value
+              for value in row)
+        for row in rows
+    )
+
+
+def _kernel_stats(connection, query):
+    """The kernel's own stats for *query*, run directly."""
+    shape = plan.match(TsqlSession(connection).translate(query))
+    run = kernels.execute_join if shape.kind == "join" else kernels.execute_coalesce
+    return run(connection, shape, connection.statement_now_seconds()).stats
+
+
+#: Numeric-looking text, padded text and NULLs for a TEXT tag column.
+TAGS = st.sampled_from(["1", "01", "1.0", "10", "2", "a", "a ", "b", None])
+tagged_tables = st.lists(
+    st.tuples(st.one_of(st.none(), st.integers(0, 4)), TAGS, elements(max_periods=2)),
+    min_size=0, max_size=8,
+)
+#: Single-side filters the fetch runs in SQL, over NULL-bearing columns.
+PUSHED = {
+    "ne-text": "VALIDTIME SELECT l.k, l.tag, r.k FROM L AS l, R AS r "
+               "WHERE l.k = r.k AND l.tag != '1' AND r.k <= 2",
+    "le-text": "VALIDTIME SELECT l.tag, r.tag FROM L AS l, R AS r "
+               "WHERE l.tag <= '10' AND r.tag = 'a' AND r.k != 3",
+    "col-col": "VALIDTIME SELECT l.k, r.k FROM L AS l, R AS r "
+               "WHERE l.k = r.k AND r.tag >= r.tag AND l.k > 0",
+    # Past 64 bits SQLite reads an integer literal as REAL.
+    "huge-int": "VALIDTIME SELECT l.k, r.k FROM L AS l, R AS r "
+                "WHERE l.k = r.k AND l.k < 99999999999999999999 AND r.k > -1e300",
+    "coalesce": "SELECT tag, length_seconds(group_union(valid)) FROM L "
+                "WHERE tag != 'b' AND k <= 3 GROUP BY tag",
+}
+
+
+def _load_tagged(connection, left, right):
+    for name, rows in (("L", left), ("R", right)):
+        connection.execute(f"CREATE TABLE {name} (k INTEGER, tag TEXT, valid ELEMENT)")
+        connection.executemany(f"INSERT INTO {name} VALUES (?, ?, ?)", rows)
+    connection.commit()
+
+
+class TestInputPath:
+    """The kernels' fetch: single-side filters run in SQL, the validity
+    column arrives as raw blobs grounded in one pass — canonical
+    determinate blobs directly, everything else through codec.decode."""
+
+    @pytest.mark.parametrize("query", sorted(PUSHED))
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(left=tagged_tables, right=tagged_tables)
+    def test_pushed_filters_equal_naive(self, forced_planner, query, left, right):
+        with repro.connect(now=DEMO_NOW) as connection:
+            _load_tagged(connection, left, right)
+            with obs.capture():
+                naive, kernel = _both_ways(TsqlSession(connection), PUSHED[query])
+                counters = obs.snapshot()["counters"]
+            assert _ground_all(naive) == _ground_all(kernel)
+            assert counters.get("plan.kernel.join", 0) \
+                + counters.get("plan.kernel.coalesce", 0) == 1
+
+    def test_now_relative_and_non_canonical_blobs(self, forced_planner):
+        """NOW-relative rows and a raw-inserted unsorted, overlapping
+        blob ground exactly as the decoder does; the stats say how many
+        blobs took the decoder."""
+        with repro.connect(now=DEMO_NOW) as connection:
+            _load(connection, "L", [
+                (k % 3, E("{[1999-01-01, NOW]}") if k % 2 else
+                 E(f"{{[1999-0{1 + k % 8}-01, 1999-0{2 + k % 8}-15]}}"))
+                for k in range(12)
+            ])
+            _load(connection, "R", [
+                (k % 3, E(f"{{[1999-0{1 + k % 8}-10, 1999-0{3 + k % 7}-01]}}"))
+                for k in range(6)
+            ])
+            day = 86_400
+            base = sec("1999-03-01")
+            connection.execute("INSERT INTO L VALUES (1, ?)", (element_blob(
+                [(base + 40 * day, base + 90 * day), (base, base + 50 * day)]),))
+            connection.commit()
+            session = TsqlSession(connection)
+            for query in (HASH_Q, MERGE_Q, WINDOW_Q, COALESCE_Q):
+                naive, kernel = _both_ways(session, query)
+                assert _ground_all(naive) == _ground_all(kernel), query
+            stats = _kernel_stats(connection, HASH_Q)
+            assert stats["fetched_rows"] == 13 + 6
+            assert stats["slow_decodes"] == 6 + 1  # six NOW rows, one raw blob
+            stats = _kernel_stats(connection, COALESCE_Q)
+            assert (stats["fetched_rows"], stats["slow_decodes"]) == (13, 7)
+
+    def test_validity_also_selected_as_a_plain_column(self, forced_planner):
+        """``l.valid`` as an output comes back decoded, as ever, while
+        the same column's blob feeds the overlap test."""
+        query = ("VALIDTIME SELECT l.k, l.valid, r.valid, r.k FROM L AS l, R AS r "
+                 "WHERE l.k = r.k")
+        with repro.connect(now=DEMO_NOW) as connection:
+            _load(connection, "L", [(k % 2, E("{[1999-01-01, NOW]}") if k == 3 else
+                                     E(f"{{[1999-0{1 + k}-01, 1999-0{3 + k}-01]}}"))
+                                    for k in range(5)])
+            _load(connection, "R", [(k % 2, E(f"{{[1999-0{2 + k}-01, 1999-0{4 + k}-01]}}"))
+                                    for k in range(4)])
+            naive, kernel = _both_ways(TsqlSession(connection), query)
+            assert kernel and all(isinstance(row[1], Element) for row in kernel)
+            assert _ground_all(naive) == _ground_all(kernel)
+
+    def test_kernel_scans_leave_the_decode_cache_alone(self, forced_planner):
+        from repro.codec import cache as marshal_cache
+
+        with repro.connect(now=DEMO_NOW) as connection:
+            _load(connection, "L", [(k, E(f"{{[1999-01-{10 + k}, 1999-06-01]}}"))
+                                    for k in range(8)])
+            _load(connection, "R", [(k, E("{[1999-03-01, 1999-09-01]}")) for k in range(8)])
+            marshal_cache.clear_caches(reset_stats=True)
+            assert len(TsqlSession(connection).query(HASH_Q)) == 8
+            assert marshal_cache.stats()["decode"]["misses"] == 0
+
+    def test_filtered_join_candidates_pinned(self, forced_planner):
+        """Pushing the filters into the fetch keeps the candidate count
+        of a fixed filtered join at its pre-pushdown value."""
+        from repro.workload.graphs import GraphConfig, generate_edges, load_graph
+
+        query = ("VALIDTIME SELECT e1.src, e1.dst, e2.dst FROM edges AS e1, "
+                 "edges AS e2 WHERE e1.dst = e2.src AND e1.label = 'cites' "
+                 "AND e2.src < 20")
+        with repro.connect(now=DEMO_NOW) as connection:
+            load_graph(connection, generate_edges(GraphConfig(
+                n_nodes=40, n_edges=600, seed=11, now_fraction=0.25)))
+            session = TsqlSession(connection)
+            with obs.capture():
+                naive, kernel = _both_ways(session, query)
+                counters = obs.snapshot()["counters"]
+            assert counters.get("plan.join.candidates") == 929
+            assert len(kernel) == 877
+            assert _ground_all(naive) == _ground_all(kernel)
 
 
 class TestPlannerDecisions:
@@ -458,6 +599,8 @@ class TestObservability:
         assert len(kernel_events) == 1
         assert kernel_events[0]["data"]["strategy"] == "hash"
         assert kernel_events[0]["data"]["rows"] == 3
+        assert kernel_events[0]["data"]["fetched_rows"] == 3 + 3
+        assert kernel_events[0]["data"]["slow_decodes"] == 0
         fallbacks = flight.snapshot(kind="plan.fallback")
         assert any(
             event["data"]["reason"] == "small" for event in fallbacks
